@@ -16,7 +16,6 @@ Keeping the first stage exact preserves the character of the minimization;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -34,8 +33,9 @@ CE_MODES = ("exact", "ce_after_first", "ce_all")
 
 
 class LookaheadChoice(NamedTuple):
-    """First-stage decision plus its backed-up value and the number of
-    leaf evaluations the search performed."""
+    """First-stage decision, its backed-up value, and the leaf count of the
+    full tree the search is equivalent to.  The count is not the work done,
+    which grows with the number of distinct (state, remaining) pairs."""
 
     control: int
     value: float
@@ -116,24 +116,29 @@ def _leaf_evaluator(mdp: FiniteMDP, spec: LookaheadSpec):
             values = policy_operator(mdp, spec.base, values)
         return lambda x: values[x]
 
-    base = spec.base
-    overrides = spec.nominal
     alpha = mdp.discount
 
-    def walk(x: int, remaining: int) -> float:
-        if remaining == 0:
-            return terminal[x]
-        out = nominal_outcome(mdp, x, base[x], overrides)
-        return out.cost + alpha * walk(out.next, remaining - 1)
+    def walk(x: int) -> float:
+        # Forward along the nominal chain, then fold its costs back from the end.
+        costs = []
+        for _ in range(steps):
+            out = nominal_outcome(mdp, x, spec.base[x], spec.nominal)
+            costs.append(out.cost)
+            x = out.next
+        value = terminal[x]
+        for cost in reversed(costs):
+            value = cost + alpha * value
+        return value
 
-    return lambda x: walk(x, steps)
+    return walk
 
 
 def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> LookaheadChoice:
     """Exhaustive expectimin search of the next `spec.depth` stages.
 
     Returns the minimizing first-stage control (lowest id on ties), its
-    backed-up value, and how many leaves were evaluated.  With depth 1 and no
+    backed-up value, and the full tree's leaf count, summed over subtrees
+    memoized per (state, remaining) rather than walked.  With depth 1 and no
     rollout the choice coincides, bit for bit, with the greedy policy against
     `spec.terminal` in the "exact" and "ce_after_first" modes.
     """
@@ -149,40 +154,35 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
             mdp.outcomes(x, spec.base[x])
 
     leaf = _leaf_evaluator(mdp, spec)
-    counter = [0]
     alpha = mdp.discount
-
     expand_inner = spec.ce_mode == "exact"
+    memo: dict[tuple[int, int], tuple[float, int, int]] = {}
 
-    def stage(x: int, remaining: int) -> float:
-        if remaining == 0:
-            counter[0] += 1
-            return leaf(x)
-        best = None
+    def stage(x: int, remaining: int, expand: bool) -> tuple[float, int, int]:
+        # (value, leaves, minimizing control) of the subtree at x; memoized below the root.
+        below = remaining - 1
+        best = best_u = None
+        leaves = 0
         for u in mdp.controls[x]:
-            if expand_inner:
-                total = 0.0
-                for p, nxt, cost in mdp.outcomes(x, u):
-                    total += p * (cost + alpha * stage(nxt, remaining - 1))
-            else:
-                out = nominal_outcome(mdp, x, u, spec.nominal)
-                total = out.cost + alpha * stage(out.next, remaining - 1)
-            if best is None or total < best:
-                best = total
-        return best
+            outs = mdp.outcomes(x, u) if expand else (
+                nominal_outcome(mdp, x, u, spec.nominal),)
+            total = 0.0
+            for p, nxt, cost in outs:
+                if below == 0:
+                    value, count = leaf(nxt), 1
+                elif (nxt, below) in memo:
+                    value, count, _ = memo[nxt, below]
+                else:
+                    value, count, _ = memo[nxt, below] = stage(nxt, below, expand_inner)
+                leaves += count
+                if expand:
+                    total += p * (cost + alpha * value)
+                else:
+                    total = cost + alpha * value
+            if best_u is None or total < best:
+                best, best_u = total, u
+        return best, leaves, best_u
 
     # Only "ce_all" collapses the first stage onto the nominal outcome.
-    expand_root = spec.ce_mode in ("exact", "ce_after_first")
-    best = math.inf
-    best_u = None
-    for u in mdp.controls[state]:
-        if expand_root:
-            total = 0.0
-            for p, nxt, cost in mdp.outcomes(state, u):
-                total += p * (cost + alpha * stage(nxt, spec.depth - 1))
-        else:
-            out = nominal_outcome(mdp, state, u, spec.nominal)
-            total = out.cost + alpha * stage(out.next, spec.depth - 1)
-        if best_u is None or total < best:
-            best, best_u = total, u
-    return LookaheadChoice(best_u, best, counter[0])
+    value, leaves, control = stage(state, spec.depth, spec.ce_mode != "ce_all")
+    return LookaheadChoice(control, value, leaves)

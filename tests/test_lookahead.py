@@ -15,7 +15,7 @@ from dpnewton.mdp import (
     zero_values,
 )
 
-from util import two_state_mdp, uniform_tree_mdp
+from util import lookahead_oracle, two_state_mdp, uniform_tree_mdp
 
 
 def test_spec_validation():
@@ -85,7 +85,8 @@ def test_two_state_values_by_hand():
 def test_leaf_counts_on_uniform_branching():
     # 2 controls x 3 outcomes everywhere and state 0 is never entered, so the
     # exact tree has (2*3)^depth leaves, first-stage-only expansion has
-    # (2*3)*(2*1)^(depth-1), and full CE has 2^depth.
+    # (2*3)*(2*1)^(depth-1), and full CE has 2^depth.  The counts are summed,
+    # not walked, so a tree of 6^100 leaves is counted exactly.
     mdp = uniform_tree_mdp()
     zero = zero_values(mdp)
     counts = {
@@ -102,6 +103,13 @@ def test_leaf_counts_on_uniform_branching():
         for mode in ("exact", "ce_after_first", "ce_all")
     }
     assert shallow == {"exact": 6, "ce_after_first": 6, "ce_all": 2}
+    deep = {
+        mode: lookahead_policy(
+            mdp, LookaheadSpec(depth=100, terminal=zero, ce_mode=mode), 1
+        ).leaves
+        for mode in ("exact", "ce_after_first", "ce_all")
+    }
+    assert deep == {"exact": 6**100, "ce_after_first": 6 * 2**99, "ce_all": 2**100}
 
 
 def test_depth_one_is_bitwise_greedy():
@@ -119,8 +127,8 @@ def test_depth_one_is_bitwise_greedy():
 
 def test_deep_search_equals_one_step_against_swept_terminal():
     # Backing the terminal estimate up depth-1 times with the exact Bellman
-    # operator and then searching one step reproduces the deep search: on
-    # deterministic chains bit for bit, on stochastic ones to rounding.
+    # operator and then searching one step reproduces the deep search bit for
+    # bit: each memoized stage forms the Bellman operator's sums in its order.
     det = two_state_mdp()
     for terminal in ([0.0, 0.0], [0.0, 2.7]):
         for depth in range(1, 6):
@@ -135,12 +143,15 @@ def test_deep_search_equals_one_step_against_swept_terminal():
     for seed in range(10):
         mdp = random_mdp(seed)
         terminal = random_values(seed + 2000, mdp, high=10.0)
-        swept = bellman_operator(mdp, bellman_operator(mdp, terminal))
-        for x in range(1, mdp.n_states):
-            deep = lookahead_policy(mdp, LookaheadSpec(depth=3, terminal=terminal), x)
-            shallow = lookahead_policy(mdp, LookaheadSpec(depth=1, terminal=swept), x)
-            assert deep.control == shallow.control
-            assert deep.value == pytest.approx(shallow.value, rel=1e-12, abs=1e-12)
+        for depth in (3, 50, 200):
+            swept = list(terminal)
+            for _ in range(depth - 1):
+                swept = bellman_operator(mdp, swept)
+            for x in range(1, mdp.n_states):
+                deep = lookahead_policy(mdp, LookaheadSpec(depth=depth, terminal=terminal), x)
+                shallow = lookahead_policy(mdp, LookaheadSpec(depth=1, terminal=swept), x)
+                assert deep.control == shallow.control
+                assert deep.value == shallow.value
 
 
 def test_truncated_rollout_folds_into_the_terminal():
@@ -166,13 +177,15 @@ def test_truncated_rollout_folds_into_the_terminal():
 
 
 def test_truncated_rollout_ce_walk_matches_exact_when_deterministic():
+    # 1200 steps is deeper than Python's default recursion limit: the nominal
+    # walk must be a loop.
     mdp = two_state_mdp()
     base = [0, 1]
     terminal = [0.0, 4.0]
-    for depth in (1, 2):
+    for depth, steps in ((1, 2), (2, 2), (1, 1200), (2, 1200)):
         exact = lookahead_policy(
             mdp,
-            LookaheadSpec(depth=depth, terminal=terminal, rollout_steps=2, base=base),
+            LookaheadSpec(depth=depth, terminal=terminal, rollout_steps=steps, base=base),
             1,
         )
         walked = lookahead_policy(
@@ -180,7 +193,7 @@ def test_truncated_rollout_ce_walk_matches_exact_when_deterministic():
             LookaheadSpec(
                 depth=depth,
                 terminal=terminal,
-                rollout_steps=2,
+                rollout_steps=steps,
                 base=base,
                 ce_mode="ce_after_first",
             ),
@@ -246,3 +259,33 @@ def test_search_is_deterministic():
     first = lookahead_policy(mdp, spec, 1)
     again = lookahead_policy(mdp, spec, 1)
     assert first == again
+
+
+def test_search_matches_the_brute_force_oracle():
+    # The oracle walks every leaf of the tree, so it checks the memoized
+    # values and the summed leaf counts, including nominal overrides that
+    # steer both the collapsed stages and the nominal rollout walk.
+    for seed in range(10):
+        mdp = random_mdp(seed)
+        terminal = random_values(seed + 3000, mdp, high=5.0)
+        base = random_policy(seed + 4000, mdp)
+        overrides = {
+            (x, u): len(mdp.outcomes(x, u)) - 1
+            for x in range(1, mdp.n_states)
+            for u in mdp.controls[x]
+            if (x + u) % 2 == 0
+        }
+        for depth in range(1, 5):
+            for mode in ("exact", "ce_after_first", "ce_all"):
+                for steps in (0, 2):
+                    for nominal in (None, overrides):
+                        spec = LookaheadSpec(depth=depth, terminal=terminal, rollout_steps=steps,
+                                             base=base, ce_mode=mode, nominal=nominal)
+                        for x in range(1, mdp.n_states):
+                            want = lookahead_oracle(mdp, terminal, x, depth, mode, steps,
+                                                    base, nominal)
+                            assert tuple(lookahead_policy(mdp, spec, x)) == want
+    # stay (1 + 0.5*4) and quit (3) tie at the root: the lowest id wins
+    tie = two_state_mdp()
+    choice = lookahead_policy(tie, LookaheadSpec(depth=1, terminal=[0.0, 4.0]), 1)
+    assert tuple(choice) == lookahead_oracle(tie, [0.0, 4.0], 1, 1) == (0, 3.0, 2)

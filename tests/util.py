@@ -70,3 +70,62 @@ def uniform_tree_mdp(alpha=0.9, n_states=3, n_controls=2, n_outcomes=3, seed=123
             )
         transitions.append(per_control)
     return FiniteMDP(alpha, transitions)
+
+
+def lookahead_oracle(mdp, terminal, state, depth, ce_mode="exact",
+                     rollout_steps=0, base=None, nominal=None):
+    """Brute-force expectimin search that walks every leaf of the tree.
+
+    Returns (control, value, leaves).  "exact" expands every stage,
+    "ce_after_first" only the first and "ce_all" none; a collapsed stage
+    follows the most probable outcome (lowest index on ties) unless `nominal`
+    names an outcome index for that (state, control).  Leaves read `terminal`
+    after `rollout_steps` exact base-policy sweeps in "exact" mode and after a
+    nominal walk of that many base steps in the CE modes.
+    """
+    alpha = mdp.discount
+    overrides = nominal or {}
+
+    def nominal_of(x, u):
+        outs = mdp.outcomes(x, u)
+        if (x, u) in overrides:
+            return outs[overrides[x, u]]
+        return max(outs, key=lambda o: o.p)
+
+    table = list(terminal)
+    if ce_mode == "exact":
+        for _ in range(rollout_steps):
+            swept = [0.0] * len(table)
+            for x in range(1, len(table)):
+                for p, nxt, cost in mdp.outcomes(x, base[x]):
+                    swept[x] += p * (cost + alpha * table[nxt])
+            table = swept
+
+    def walk(x, steps):
+        if steps == 0:
+            return terminal[x]
+        o = nominal_of(x, base[x])
+        return o.cost + alpha * walk(o.next, steps - 1)
+
+    def q(x, u, remaining, expand):
+        if not expand:
+            o = nominal_of(x, u)
+            v, n = node(o.next, remaining - 1)
+            return o.cost + alpha * v, n
+        total, leaves = 0.0, 0
+        for p, nxt, cost in mdp.outcomes(x, u):
+            v, n = node(nxt, remaining - 1)
+            total += p * (cost + alpha * v)
+            leaves += n
+        return total, leaves
+
+    def node(x, remaining):
+        if remaining == 0:
+            return (table[x] if ce_mode == "exact" else walk(x, rollout_steps)), 1
+        qs = [q(x, u, remaining, ce_mode == "exact") for u in mdp.controls[x]]
+        return min(v for v, _ in qs), sum(n for _, n in qs)
+
+    qs = [q(state, u, depth, ce_mode != "ce_all") for u in mdp.controls[state]]
+    value = min(v for v, _ in qs)
+    control = next(u for u, (v, _) in zip(mdp.controls[state], qs) if v == value)
+    return control, value, sum(n for _, n in qs)
