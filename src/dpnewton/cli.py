@@ -7,9 +7,10 @@ JSON config document (flags win), or a mix.  Outputs are deterministic: CSV
 tables carry a header row and 17-significant-digit reals, scalar prints use
 the shortest round-trip form, infinities are spelled `inf`.
 
-Exit codes: 0 success; 1 a result violated an in-process invariant check;
-2 invalid input (the message names the first offending field); 3 an
-iteration failed to converge (the message carries the residual).
+Exit codes: 0 success; 1 a result violated an in-process invariant check,
+or any other unexpected error (reported on one line); 2 invalid input (the
+message names the first offending field); 3 an iteration failed to converge
+(the message carries the residual).
 """
 
 from __future__ import annotations
@@ -498,6 +499,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as err:
+        # Any other failure is a defect or a limit of the program, not of the
+        # input: report it on one line instead of a traceback.
+        summary = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {summary}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ control, costs on the grid {0.0, 0.1, ..., 10.0}.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .mdp import FiniteMDP, zero_values
 
 __all__ = ["random_mdp", "random_values", "random_policy"]
@@ -28,6 +26,8 @@ def random_mdp(
     terminates with probability one (a stable base even without
     discounting).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9)) if n_states is None else int(n_states)
     transitions: list[list[list[tuple[float, int, float]]]] = [[[(1.0, 0, 0.0)]]]
@@ -54,6 +54,8 @@ def random_mdp(
 
 def random_values(seed: int, mdp: FiniteMDP, high: float) -> list[float]:
     """Random value estimate in [0, high] per state, termination pinned 0."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     values = zero_values(mdp)
     for x in range(1, mdp.n_states):
@@ -62,6 +64,8 @@ def random_values(seed: int, mdp: FiniteMDP, high: float) -> list[float]:
 
 
 def random_policy(seed: int, mdp: FiniteMDP) -> list[int]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return [
         mdp.controls[x][int(rng.integers(0, len(mdp.controls[x])))]

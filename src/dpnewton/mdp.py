@@ -17,9 +17,11 @@ strictly better one exists (see _improved_policy for why).
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+import numbers
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Outcome",
@@ -112,7 +114,8 @@ class FiniteMDP:
                     f"controls[{x}]", "every state needs at least one control"
                 )
             for i, u in enumerate(cs):
-                if not isinstance(u, (int, np.integer)) or isinstance(u, bool) or u < 0:
+                # int first: the common case skips the slower ABC check
+                if not isinstance(u, (int, numbers.Integral)) or isinstance(u, bool) or u < 0:
                     raise MDPValidationError(
                         f"controls[{x}][{i}]", f"control ids are nonnegative ints, got {u!r}"
                     )
@@ -145,6 +148,7 @@ class FiniteMDP:
         self._position = [
             {u: i for i, u in enumerate(per_state)} for per_state in self.controls
         ]
+        self._packed_arrays: _Packed | None = None
 
     @staticmethod
     def _checked_distribution(x, u, slot, raw, n) -> tuple[Outcome, ...]:
@@ -167,7 +171,7 @@ class FiniteMDP:
                 raise MDPValidationError(
                     f"{here}[{k}].p", f"probabilities must be positive, got {p!r}"
                 )
-            if not isinstance(nxt, (int, np.integer)) or isinstance(nxt, bool):
+            if not isinstance(nxt, (int, numbers.Integral)) or isinstance(nxt, bool):
                 raise MDPValidationError(
                     f"{here}[{k}].next", f"successor must be an int, got {nxt!r}"
                 )
@@ -195,6 +199,58 @@ class FiniteMDP:
         except KeyError:
             raise ValueError(f"control {control} not admissible at state {state}") from None
 
+    def _slot(self, state: int, control: int) -> int:
+        # outcomes() repeats this lookup inline: it sits on the lookahead
+        # search's hot path, where one more call per node shows
+        try:
+            return self._position[state][control]
+        except KeyError:
+            raise ValueError(f"control {control} not admissible at state {state}") from None
+
+    @property
+    def _packed(self) -> _Packed:
+        # Built on first use so that importing the package never loads numpy.
+        # The slot is assigned in __init__ rather than by
+        # functools.cached_property: writing to the instance __dict__ later
+        # slows every attribute read on the model, which the lookahead
+        # search does at each node.
+        if self._packed_arrays is None:
+            import numpy as np
+
+            width = max(len(per_state) for per_state in self.controls)
+            depth = max(len(dist) for per_state in self.transitions for dist in per_state)
+            pad = [(0.0, 0, 0.0)] * depth
+            rows = [
+                [list(dist) + pad[len(dist):] for dist in per_state]
+                + [pad] * (width - len(per_state))
+                for per_state in self.transitions
+            ]
+            p, nxt, cost = np.array(rows, dtype=np.float64).transpose(3, 2, 0, 1).copy()
+            ids = np.zeros((self.n_states, width), dtype=object)  # exact ints of any size
+            start = np.full((self.n_states, width), math.inf)
+            for x, per_state in enumerate(self.controls):
+                ids[x, : len(per_state)] = per_state
+                start[x, : len(per_state)] = 0.0
+            self._packed_arrays = _Packed(p, nxt.astype(np.intp), cost, ids, start)
+        return self._packed_arrays
+
+
+class _Packed(NamedTuple):
+    """A model's transitions as padded arrays indexed [outcome, state, slot].
+
+    Slot i of state x holds control controls[x][i].  Padding entries have
+    p = 0, next = 0 and cost = 0, so against a value table whose entry 0 is
+    0 each adds exactly 0.0 to a Q-value.  `start` is the invalid-slot mask
+    in additive form: the 0.0 a Q-value sum starts from where the slot holds
+    a control, +inf past a state's last control.  The outcome axis comes
+    first so that each outcome column is one contiguous (S, U) block."""
+
+    p: np.ndarray
+    next: np.ndarray
+    cost: np.ndarray
+    ids: np.ndarray
+    start: np.ndarray
+
 
 def zero_values(mdp: FiniteMDP) -> list[float]:
     return [0.0] * mdp.n_states
@@ -206,7 +262,7 @@ def _check_values(mdp: FiniteMDP, values: Sequence[float], where: str = "values"
     if values[0] != 0.0:
         raise ValueError(f"{where}[0]: the termination state is pinned to 0")
     for x, v in enumerate(values):
-        if math.isnan(v) or v < 0.0:
+        if not v >= 0.0:  # also true for NaN
             raise ValueError(f"{where}[{x}]: entries are nonnegative reals, got {v!r}")
 
 
@@ -222,23 +278,31 @@ def q_value(mdp: FiniteMDP, values: Sequence[float], state: int, control: int) -
     return total
 
 
-def _best_control(mdp, values, state) -> tuple[float, int]:
-    best = math.inf
-    best_u = None
-    for u in mdp.controls[state]:
-        v = q_value(mdp, values, state, u)
-        if best_u is None or v < best:
-            best, best_u = v, u
-    return best, best_u
+def _q_table(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
+    """Q-values of every (state, control slot) pair as an (S, U) array;
+    slots past a state's last control read +inf.
+
+    Repeats q_value's float operations one for one, so every entry equals
+    q_value bit for bit: each term is p * (cost + alpha * v[next]) and the
+    outcome columns are added left to right onto 0.0.  A reducing sum
+    (np.sum, np.add.reduceat) would pair the terms differently."""
+    import numpy as np
+
+    packed = mdp._packed
+    scaled = mdp.discount * np.asarray(values, dtype=np.float64)
+    terms = packed.p * (packed.cost + scaled[packed.next])
+    acc = packed.start + terms[0]
+    for column in terms[1:]:
+        acc += column
+    return acc
 
 
 def bellman_operator(mdp: FiniteMDP, values: Sequence[float]) -> list[float]:
     """One exact sweep of the optimality recursion; entry 0 stays 0."""
     _check_values(mdp, values)
-    out = [0.0] * mdp.n_states
-    for x in range(1, mdp.n_states):
-        out[x], _ = _best_control(mdp, values, x)
-    return out
+    out = _q_table(mdp, values).min(axis=1)
+    out[0] = 0.0
+    return out.tolist()
 
 
 def policy_operator(
@@ -246,6 +310,9 @@ def policy_operator(
 ) -> list[float]:
     """One exact sweep for a fixed policy; entry 0 stays 0."""
     _check_values(mdp, values)
+    # One Q-value per state, not the packed kernel: lookahead's truncated
+    # rollout sweeps small models once per decision, and there the kernel's
+    # fixed numpy cost per call exceeds this whole loop.
     out = [0.0] * mdp.n_states
     for x in range(1, mdp.n_states):
         out[x] = q_value(mdp, values, x, policy[x])
@@ -255,12 +322,12 @@ def policy_operator(
 def greedy_policy(mdp: FiniteMDP, values: Sequence[float]) -> list[int]:
     """Pointwise minimizing controls, lowest id on ties (also when every
     control is infinitely bad)."""
+    import numpy as np
+
     _check_values(mdp, values)
-    policy = [mdp.controls[0][0]]
-    for x in range(1, mdp.n_states):
-        _, u = _best_control(mdp, values, x)
-        policy.append(u)
-    return policy
+    # argmin takes the first minimal slot, and slots run in id order
+    slots = _q_table(mdp, values).argmin(axis=1)
+    return mdp._packed.ids[np.arange(mdp.n_states), slots].tolist()
 
 
 def _improved_policy(
@@ -273,27 +340,21 @@ def _improved_policy(
     # iteration would then cycle instead of terminating; keeping the
     # incumbent on ties removes that failure while staying deterministic
     # (switches go to the lowest strictly better control id).
-    out = []
-    for x in range(mdp.n_states):
-        incumbent = base[x]
-        best_u = incumbent
-        best = q_value(mdp, values, x, incumbent)
-        for u in mdp.controls[x]:
-            if u == incumbent:
-                continue
-            q = q_value(mdp, values, x, u)
-            if q < best:
-                best, best_u = q, u
-        out.append(best_u)
-    return out
+    import numpy as np
+
+    rows = np.arange(mdp.n_states)
+    incumbent = np.array([mdp._slot(x, base[x]) for x in range(mdp.n_states)], dtype=np.intp)
+    q = _q_table(mdp, values)
+    chosen = np.where(q.min(axis=1) < q[rows, incumbent], q.argmin(axis=1), incumbent)
+    return mdp._packed.ids[rows, chosen].tolist()
 
 
 def _sup_diff(a: Sequence[float], b: Sequence[float]) -> float:
     worst = 0.0
     for x, y in zip(a, b):
-        if x == y:
-            continue  # also covers matching infinities
-        worst = max(worst, abs(x - y))
+        # equal entries are skipped, which also covers matching infinities
+        if x != y and abs(x - y) > worst:
+            worst = abs(x - y)
     return worst
 
 
@@ -324,20 +385,66 @@ def _closed_loop(mdp: FiniteMDP, policy: Sequence[int]):
     return [mdp.outcomes(x, policy[x]) for x in range(mdp.n_states)]
 
 
-def _reach_sets(edges) -> list[set[int]]:
+def _recurrent_states(edges) -> set[int]:
+    """States in closed (bottom) strongly connected classes of the closed
+    loop: those that every state they reach can reach back.  One iterative
+    pass of Tarjan's algorithm, linear in states plus outcomes."""
     n = len(edges)
-    reach = []
+    order = [-1] * n  # discovery index
+    low = [0] * n
+    root_of = [-1] * n  # root of each finished class; -1 while on the stack
+    stack: list[int] = []
+    recurrent: set[int] = set()
+    found = 0
     for start in range(n):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for out in edges[x]:
-                if out.next not in seen:
-                    seen.add(out.next)
-                    frontier.append(out.next)
-        reach.append(seen)
-    return reach
+        if order[start] >= 0:
+            continue
+        order[start] = low[start] = found
+        found += 1
+        stack.append(start)
+        path = [(start, iter(edges[start]))]
+        while path:
+            x, outs = path[-1]
+            for out in outs:
+                y = out.next
+                if order[y] < 0:
+                    order[y] = low[y] = found
+                    found += 1
+                    stack.append(y)
+                    path.append((y, iter(edges[y])))
+                    break
+                if root_of[y] < 0:
+                    low[x] = min(low[x], order[y])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == order[x]:
+                    members = []
+                    while not members or members[-1] != x:
+                        members.append(stack.pop())
+                        root_of[members[-1]] = x
+                    # every successor already belongs to a finished class
+                    if all(root_of[out.next] == x for y in members for out in edges[y]):
+                        recurrent.update(members)
+    return recurrent
+
+
+def _reaching(edges, targets) -> set[int]:
+    """States from which the closed loop can reach some state in targets."""
+    before: list[list[int]] = [[] for _ in edges]
+    for x, outs in enumerate(edges):
+        for out in outs:
+            before[out.next].append(x)
+    seen = set(targets)
+    frontier = list(seen)
+    while frontier:
+        for x in before[frontier.pop()]:
+            if x not in seen:
+                seen.add(x)
+                frontier.append(x)
+    return seen
 
 
 def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
@@ -351,21 +458,16 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
     the remaining states see the chain leave them with probability one, and
     their restricted linear system is nonsingular.
     """
+    import numpy as np
+
     n = mdp.n_states
     edges = _closed_loop(mdp, policy)
     if mdp.discount < 1.0:
         unknown = list(range(1, n))
     else:
-        reach = _reach_sets(edges)
-        recurrent = [
-            x for x in range(n) if all(x in reach[y] for y in reach[x])
-        ]
-        bad = {
-            x
-            for x in recurrent
-            if any(out.cost > 0.0 for out in edges[x])
-        }
-        infinite = {x for x in range(n) if reach[x] & bad}
+        recurrent = _recurrent_states(edges)
+        bad = [x for x in recurrent if any(out.cost > 0.0 for out in edges[x])]
+        infinite = _reaching(edges, bad)
         values = [0.0] * n
         for x in infinite:
             values[x] = math.inf

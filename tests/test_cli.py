@@ -119,6 +119,26 @@ def test_mdp_lookahead_reports_the_leaf_count(tmp_path, capsys):
     assert lines[2] == "leaves=216"
 
 
+def test_too_deep_lookahead_fails_on_one_line(tmp_path):
+    # the search recurses once per stage, so depth 1200 exceeds the
+    # interpreter's recursion limit; that must surface as exit 1 with a
+    # one-line message, not a traceback
+    assert run_cli("mdp", "random", "--seed", "11", "--out", str(tmp_path)).returncode == 0
+    proc = run_cli("mdp", "lookahead", "--file", str(tmp_path / "mdp.json"),
+                   "--state", "1", "--depth", "1200")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("internal error: RecursionError")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    probe = "import sys, dpnewton.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_mdp_lyapunov_verdicts(tmp_path, capsys):
     path = tmp_path / "two_state.json"
     save_mdp(two_state_mdp(), path)

@@ -6,6 +6,7 @@ is the overpriced option: staying forever costs 1/(1-0.5) = 2.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +28,14 @@ from dpnewton.mdp import (
     value_iteration,
     zero_values,
 )
-from util import two_state_mdp
+from dpnewton.mdp import _closed_loop, _reaching, _recurrent_states
+from util import (
+    chain_classes_oracle,
+    greedy_oracle,
+    improvement_oracle,
+    q_table_oracle,
+    two_state_mdp,
+)
 
 STAY, QUIT = 0, 1
 
@@ -189,6 +197,13 @@ def test_greedy_ties_take_lowest_control_id():
     )
     j = [0.0, math.inf]
     assert greedy_policy(loops, j) == [0, 0]
+    # the same with gapped ids given out of order
+    ragged = ragged_mdp()
+    values = [0.0, 1.5, 0.25, 3.0, 2.0]
+    q = q_table_oracle(ragged, values)
+    assert q[0, 1] == q[0, 4] and q[1, 9] == q[1, 12] and q[4, 2] == q[4, 8]
+    assert greedy_policy(ragged, values) == [1, 9, 0, 7, 2]
+    assert greedy_policy(ragged, [0.0] + [math.inf] * 4) == [1, 3, 0, 7, 2]
 
 
 def test_policy_iteration_hand_example():
@@ -332,3 +347,158 @@ def test_value_iteration_is_reproducible():
     a, ka = value_iteration(mdp, tol=1e-12)
     b, kb = value_iteration(mdp, tol=1e-12)
     assert a == b and ka == kb
+
+
+def ragged_mdp(alpha=0.9):
+    """Control ids given out of order and with gaps, one to three outcomes
+    per control, repeated successors, and controls with identical
+    distributions (exact ties) at states 0, 1 and 4."""
+    return FiniteMDP(
+        alpha,
+        [
+            [[(1.0, 0, 0.0)], [(0.5, 0, 0.0), (0.5, 0, 0.0)]],
+            [
+                [(0.25, 2, 1.0), (0.25, 2, 1.0), (0.5, 3, 0.5)],
+                [(1.0, 2, 5.0)],
+                [(0.25, 2, 1.0), (0.25, 2, 1.0), (0.5, 3, 0.5)],
+            ],
+            [[(1.0, 4, 2.0)], [(0.2, 0, 3.0), (0.8, 1, 0.0)]],
+            [[(0.6, 3, 1.0), (0.4, 0, 0.0)]],
+            [[(1.0, 4, 0.0)], [(1.0, 4, 0.0)]],
+        ],
+        controls=[[4, 1], [9, 3, 12], [5, 0], [7], [8, 2]],
+    )
+
+
+def relabeled_random_mdp(seed, alpha=0.9, n_states=None):
+    """random_mdp with each state's controls renamed to shuffled, gapped ids
+    and, at about half the states, one distribution repeated under an extra
+    id, which ties it exactly with the original."""
+    base = random_mdp(seed, discount=alpha, n_states=n_states)
+    rng = random.Random(seed)
+    transitions, controls = [], []
+    for per_state in base.transitions:
+        rows = [list(dist) for dist in per_state]
+        if rng.random() < 0.5:
+            rows.append(rows[rng.randrange(len(rows))])
+        transitions.append(rows)
+        controls.append(rng.sample(range(60), len(rows)))
+    return FiniteMDP(alpha, transitions, controls)
+
+
+def kernel_cases():
+    """(model, value table) pairs: finite, partly infinite and all-infinite
+    estimates on the ragged model and on relabeled random models."""
+    inf = math.inf
+    hand = ragged_mdp()
+    for values in (
+        [0.0] * 5,
+        [0.0, 1.5, 0.25, 3.0, 2.0],
+        [0.0, 1.5, inf, 3.0, 2.0],
+        [0.0, 1.5, 0.25, 3.0, inf],
+        [0.0, inf, inf, inf, inf],
+    ):
+        yield hand, values
+    for seed in range(40):
+        mdp = relabeled_random_mdp(seed, n_states=None if seed % 4 else 30)
+        values = random_values(seed + 5, mdp, 40.0)
+        yield mdp, values
+        yield mdp, [v if x % 3 else (0.0 if x == 0 else inf) for x, v in enumerate(values)]
+
+
+def admissible_policies(mdp, seed):
+    rng = random.Random(seed)
+    yield [min(cs) for cs in mdp.controls]
+    yield [max(cs) for cs in mdp.controls]
+    yield [rng.choice(cs) for cs in mdp.controls]
+
+
+def test_sweeps_match_the_scalar_oracle():
+    for case, (mdp, values) in enumerate(kernel_cases()):
+        q = q_table_oracle(mdp, values)
+        minima = [min(q[x, u] for u in cs) for x, cs in enumerate(mdp.controls)]
+        assert bellman_operator(mdp, values) == [0.0] + minima[1:]
+        assert greedy_policy(mdp, values) == greedy_oracle(mdp, values)
+        for policy in admissible_policies(mdp, case):
+            swept = policy_operator(mdp, policy, values)
+            assert swept == [0.0] + [q[x, policy[x]] for x in range(1, mdp.n_states)]
+
+
+def test_improvement_keeps_the_incumbent_unless_strictly_beaten():
+    for case, (mdp, values) in enumerate(kernel_cases()):
+        for base in admissible_policies(mdp, case):
+            for horizon in (0, 1, 3):
+                reference = zero_values(mdp)
+                for _ in range(horizon):
+                    q = q_table_oracle(mdp, reference)
+                    reference = [0.0] + [q[x, base[x]] for x in range(1, mdp.n_states)]
+                improved = rollout_policy(mdp, base, horizon=horizon)
+                assert improved == improvement_oracle(mdp, base, reference)
+    # tied incumbents stay put, the tie-free state switches to the lowest id
+    mdp = ragged_mdp()
+    assert rollout_policy(mdp, [4, 12, 5, 7, 8], horizon=0) == [4, 12, 0, 7, 8]
+    assert rollout_policy(mdp, [1, 3, 5, 7, 2], horizon=0) == [1, 9, 0, 7, 2]
+
+
+def test_inadmissible_control_is_named():
+    mdp = ragged_mdp()
+    values = zero_values(mdp)
+    bad = [1, 9, 6, 7, 2]
+    message = "control 6 not admissible at state 2"
+    with pytest.raises(ValueError, match=message):
+        policy_operator(mdp, bad, values)
+    with pytest.raises(ValueError, match=message):
+        rollout_policy(mdp, bad, horizon=0)
+    with pytest.raises(ValueError, match=message):
+        policy_evaluation(mdp, bad)
+    with pytest.raises(ValueError, match="control 0 not admissible at state 0"):
+        rollout_policy(mdp, [0, 9, 5, 7, 2], horizon=0)
+
+
+def test_chain_classes_with_several_closed_classes():
+    # {1, 2} and {7} are free closed classes, {3, 4} a paying one; 5 and 6
+    # can fall into it; 8 pays once into {7}; 9 leaks to termination
+    mdp = FiniteMDP(
+        1.0,
+        [
+            [[(1.0, 0, 0.0)]],
+            [[(1.0, 2, 0.0)]],
+            [[(1.0, 1, 0.0)]],
+            [[(1.0, 4, 1.0)]],
+            [[(1.0, 3, 0.0)]],
+            [[(0.5, 1, 0.0), (0.5, 3, 0.0)]],
+            [[(0.5, 5, 0.0), (0.5, 0, 0.0)]],
+            [[(1.0, 7, 0.0)]],
+            [[(0.5, 7, 2.0), (0.5, 0, 2.0)]],
+            [[(0.5, 9, 1.0), (0.5, 0, 0.0)]],
+        ],
+    )
+    policy = [0] * 10
+    assert chain_classes_oracle(mdp, policy) == ({0, 1, 2, 3, 4, 7}, {3, 4, 5, 6})
+    inf = math.inf
+    assert policy_evaluation(mdp, policy) == [0.0, 0.0, 0.0, inf, inf, inf, inf, 0.0, 2.0, 1.0]
+    assert not policy_is_stable(mdp, policy)
+
+
+def test_chain_classes_match_the_per_state_search():
+    for seed in range(120):
+        mdp = random_mdp(seed, discount=1.0, n_states=(None, 12, 40)[seed % 3])
+        policy = random_policy(seed + 7, mdp)
+        recurrent, infinite = chain_classes_oracle(mdp, policy)
+        edges = _closed_loop(mdp, policy)
+        assert _recurrent_states(edges) == recurrent
+        paying = [x for x in recurrent if any(o.cost > 0.0 for o in edges[x])]
+        assert _reaching(edges, paying) == infinite
+        values = policy_evaluation(mdp, policy)
+        assert {x for x, v in enumerate(values) if v == math.inf} == infinite
+        assert all(values[x] == 0.0 for x in recurrent - infinite)
+
+
+def test_chain_classification_needs_no_recursion():
+    # a 5000-state path into a paying self-loop: every state's cost is infinite
+    n = 5000
+    transitions = [[[(1.0, 0, 0.0)]]]
+    transitions += [[[(1.0, x + 1, 0.0)]] for x in range(1, n - 1)]
+    transitions.append([[(1.0, n - 1, 1.0)]])
+    mdp = FiniteMDP(1.0, transitions)
+    assert policy_evaluation(mdp, [0] * n) == [0.0] + [math.inf] * (n - 1)

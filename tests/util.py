@@ -129,3 +129,70 @@ def lookahead_oracle(mdp, terminal, state, depth, ce_mode="exact",
     value = min(v for v, _ in qs)
     control = next(u for u, (v, _) in zip(mdp.controls[state], qs) if v == value)
     return control, value, sum(n for _, n in qs)
+
+
+def q_table_oracle(mdp, values):
+    """{(state, control): Q-value} for every admissible pair, one scalar sum
+    per pair over the model's raw outcome lists."""
+    alpha = mdp.discount
+    table = {}
+    for x, per_state in enumerate(mdp.transitions):
+        for u, dist in zip(mdp.controls[x], per_state):
+            total = 0.0
+            for p, nxt, cost in dist:
+                total += p * (cost + alpha * values[nxt])
+            table[x, u] = total
+    return table
+
+
+def greedy_oracle(mdp, values):
+    """Per state, the lowest control id whose Q-value is the minimum."""
+    q = q_table_oracle(mdp, values)
+    policy = []
+    for x, controls in enumerate(mdp.controls):
+        best = min(q[x, u] for u in controls)
+        policy.append(min(u for u in controls if q[x, u] == best))
+    return policy
+
+
+def improvement_oracle(mdp, base, values):
+    """Per state, base[x] unless some control's Q-value is strictly lower;
+    then the lowest control id attaining the minimum."""
+    q = q_table_oracle(mdp, values)
+    policy = []
+    for x, controls in enumerate(mdp.controls):
+        best = min(q[x, u] for u in controls)
+        if q[x, base[x]] == best:
+            policy.append(base[x])
+        else:
+            policy.append(min(u for u in controls if q[x, u] == best))
+    return policy
+
+
+def chain_classes_oracle(mdp, policy):
+    """(recurrent, infinite) state sets of a policy's closed loop, by
+    definition: one search per state for the set it reaches.  A state is
+    recurrent when every state it reaches reaches it back; its cost is
+    infinite when it reaches a recurrent state with a positive-cost outcome."""
+    n = mdp.n_states
+    succ = [
+        [nxt for _, nxt, _ in mdp.transitions[x][mdp.controls[x].index(policy[x])]]
+        for x in range(n)
+    ]
+    reach = []
+    for start in range(n):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for y in succ[frontier.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        reach.append(seen)
+    recurrent = {x for x in range(n) if all(x in reach[y] for y in reach[x])}
+    paying = {
+        x for x in recurrent
+        if any(cost > 0.0 for _, _, cost in mdp.transitions[x][mdp.controls[x].index(policy[x])])
+    }
+    infinite = {x for x in range(n) if reach[x] & paying}
+    return recurrent, infinite
