@@ -288,11 +288,20 @@ def _cmd_mdp_lookahead(args) -> int:
         ce_mode=values["ce_mode"],
     )
     choice = lookahead_policy(model, spec, values["state"])
-    print(f"control={choice.control}")
-    print(f"value={choice.value!r}")
-    print(f"leaves={choice.leaves}")
-    if args.out is not None:
-        _emit_json(args, "lookahead.json", dict(choice._asdict()))
+    # A deep search's leaf count can pass the int-to-decimal limit of Python
+    # 3.10.7+.  The limit guards parsing untrusted text, not printing a
+    # computed count, so it is lifted for this output alone.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        print(f"control={choice.control}")
+        print(f"value={choice.value!r}")
+        print(f"leaves={choice.leaves}")
+        if args.out is not None:
+            _emit_json(args, "lookahead.json", dict(choice._asdict()))
+    finally:
+        set_limit(limit)
     return EXIT_OK
 
 
@@ -485,7 +494,7 @@ def main(argv=None) -> int:
         print(f"validation error at {err.path}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except mdp.ConvergenceError as err:
-        print(f"did not converge: {err} (residual={err.residual!r})", file=sys.stderr)
+        print(f"did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ArithmeticError as err:
         print(f"did not converge: {err}", file=sys.stderr)

@@ -12,6 +12,11 @@ value estimate at the leaves.  Two refinements are supported:
 
 Keeping the first stage exact preserves the character of the minimization;
 "ce_all" is provided as the cheaper but cruder comparison baseline.
+
+The search is one greedy step against the terminal estimate backed up
+through the later stages: a forward pass tables the states reachable at
+each stage, and a backward pass folds the estimate through those tables.
+Cost and memory grow with the reachable states per stage, not the tree.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .mdp import FiniteMDP, Outcome, _check_values, policy_operator
+from .mdp import FiniteMDP, Outcome, _check_values
 
 __all__ = [
     "CE_MODES",
@@ -35,7 +40,7 @@ CE_MODES = ("exact", "ce_after_first", "ce_all")
 class LookaheadChoice(NamedTuple):
     """First-stage decision, its backed-up value, and the leaf count of the
     full tree the search is equivalent to.  The count is not the work done,
-    which grows with the number of distinct (state, remaining) pairs."""
+    which grows with the number of states reachable at each stage."""
 
     control: int
     value: float
@@ -102,45 +107,13 @@ def nominal_outcome(
     return outs[best]
 
 
-def _leaf_evaluator(mdp: FiniteMDP, spec: LookaheadSpec):
-    """Builds the function applied at depth-0 tree nodes."""
-    terminal = spec.terminal
-    steps = spec.rollout_steps
-    if steps == 0:
-        return lambda x: terminal[x]
-    if spec.ce_mode == "exact":
-        # Fold the m exact base-policy sweeps into a single table; each leaf
-        # is then a lookup, not extra branching.
-        values = list(terminal)
-        for _ in range(steps):
-            values = policy_operator(mdp, spec.base, values)
-        return lambda x: values[x]
-
-    alpha = mdp.discount
-
-    def walk(x: int) -> float:
-        # Forward along the nominal chain, then fold its costs back from the end.
-        costs = []
-        for _ in range(steps):
-            out = nominal_outcome(mdp, x, spec.base[x], spec.nominal)
-            costs.append(out.cost)
-            x = out.next
-        value = terminal[x]
-        for cost in reversed(costs):
-            value = cost + alpha * value
-        return value
-
-    return walk
-
-
 def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> LookaheadChoice:
     """Exhaustive expectimin search of the next `spec.depth` stages.
 
     Returns the minimizing first-stage control (lowest id on ties), its
-    backed-up value, and the full tree's leaf count, summed over subtrees
-    memoized per (state, remaining) rather than walked.  With depth 1 and no
-    rollout the choice coincides, bit for bit, with the greedy policy against
-    `spec.terminal` in the "exact" and "ce_after_first" modes.
+    backed-up value, and the full tree's leaf count.  With depth 1 and no
+    rollout the choice coincides, bit for bit, with the greedy policy
+    against `spec.terminal` in the "exact" and "ce_after_first" modes.
     """
     _check_values(mdp, spec.terminal, "terminal")
     if not 1 <= state < mdp.n_states:
@@ -153,36 +126,61 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
         for x in range(mdp.n_states):
             mdp.outcomes(x, spec.base[x])
 
-    leaf = _leaf_evaluator(mdp, spec)
-    alpha = mdp.discount
-    expand_inner = spec.ce_mode == "exact"
-    memo: dict[tuple[int, int], tuple[float, int, int]] = {}
-
-    def stage(x: int, remaining: int, expand: bool) -> tuple[float, int, int]:
-        # (value, leaves, minimizing control) of the subtree at x; memoized below the root.
-        below = remaining - 1
-        best = best_u = None
-        leaves = 0
-        for u in mdp.controls[x]:
-            outs = mdp.outcomes(x, u) if expand else (
-                nominal_outcome(mdp, x, u, spec.nominal),)
-            total = 0.0
-            for p, nxt, cost in outs:
-                if below == 0:
-                    value, count = leaf(nxt), 1
-                elif (nxt, below) in memo:
-                    value, count, _ = memo[nxt, below]
-                else:
-                    value, count, _ = memo[nxt, below] = stage(nxt, below, expand_inner)
-                leaves += count
+    depth = spec.depth
+    horizon = depth + spec.rollout_steps
+    # Forward: stages[k] maps each state reachable in k steps to its branches
+    # [(control, ((p, next, cost), ...)), ...].  The first `depth` stages
+    # branch on every control, the rollout stages on the base control only.
+    # A collapsed stage keeps the nominal outcome alone, with p = 1.0; only
+    # "ce_all" collapses the first stage.  A state's branches depend only on
+    # the kind of stage, so each is built once per kind.
+    kinds: dict[tuple[bool, bool], dict] = {}
+    stages = []
+    reach = {state: None}
+    for k in range(horizon):
+        expand = spec.ce_mode == "exact" or (k == 0 and spec.ce_mode != "ce_all")
+        built = kinds.setdefault((k < depth, expand), {})
+        stage = {}
+        for x in reach:
+            branches = built.get(x)
+            if branches is None:
+                controls = mdp.controls[x] if k < depth else (spec.base[x],)
                 if expand:
-                    total += p * (cost + alpha * value)
+                    branches = [(u, mdp.outcomes(x, u)) for u in controls]
                 else:
-                    total = cost + alpha * value
-            if best_u is None or total < best:
-                best, best_u = total, u
-        return best, leaves, best_u
+                    outs = [nominal_outcome(mdp, x, u, spec.nominal) for u in controls]
+                    branches = [(u, ((1.0, o.next, o.cost),)) for u, o in zip(controls, outs)]
+                built[x] = branches
+            stage[x] = branches
+        stages.append(stage)
+        if k + 1 < horizon:  # the last stage's successors read spec.terminal
+            reach = {nxt: None for branches in stage.values()
+                     for _, outs in branches for _, nxt, _ in outs}
 
-    # Only "ce_all" collapses the first stage onto the nominal outcome.
-    value, leaves, control = stage(state, spec.depth, spec.ce_mode != "ce_all")
-    return LookaheadChoice(control, value, leaves)
+    # Backward: q_value's sum at every stage.  A collapsed branch adds
+    # 1.0 * (cost + alpha * v) onto 0.0, which is cost + alpha * v bit for
+    # bit since costs and values are nonnegative (up to the sign of a zero).
+    # Leaf counts fold along the first `depth` stages, each state at stage
+    # `depth` being one leaf.  Stage 0 holds only the root and is folded
+    # last, so best, best_u and leaves end as the root's.
+    alpha = mdp.discount
+    values = spec.terminal
+    for k in range(horizon - 1, -1, -1):
+        if k == depth - 1:
+            counts = [1] * mdp.n_states
+        counting = k < depth
+        folded, tallies = {}, {}
+        for x, branches in stages[k].items():
+            best = best_u = None
+            leaves = 0
+            for u, outs in branches:
+                total = 0.0
+                for p, nxt, cost in outs:
+                    total += p * (cost + alpha * values[nxt])
+                    if counting:
+                        leaves += counts[nxt]
+                if best_u is None or total < best:
+                    best, best_u = total, u
+            folded[x], tallies[x] = best, leaves
+        values, counts = folded, tallies
+    return LookaheadChoice(best_u, best, leaves)

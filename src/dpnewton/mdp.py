@@ -194,14 +194,9 @@ class FiniteMDP:
         return len(self.transitions)
 
     def outcomes(self, state: int, control: int) -> tuple[Outcome, ...]:
-        try:
-            return self.transitions[state][self._position[state][control]]
-        except KeyError:
-            raise ValueError(f"control {control} not admissible at state {state}") from None
+        return self.transitions[state][self._slot(state, control)]
 
     def _slot(self, state: int, control: int) -> int:
-        # outcomes() repeats this lookup inline: it sits on the lookahead
-        # search's hot path, where one more call per node shows
         try:
             return self._position[state][control]
         except KeyError:
@@ -211,9 +206,8 @@ class FiniteMDP:
     def _packed(self) -> _Packed:
         # Built on first use so that importing the package never loads numpy.
         # The slot is assigned in __init__ rather than by
-        # functools.cached_property: writing to the instance __dict__ later
-        # slows every attribute read on the model, which the lookahead
-        # search does at each node.
+        # functools.cached_property, whose later write to the instance
+        # __dict__ slows every attribute read on the model.
         if self._packed_arrays is None:
             import numpy as np
 
@@ -310,9 +304,6 @@ def policy_operator(
 ) -> list[float]:
     """One exact sweep for a fixed policy; entry 0 stays 0."""
     _check_values(mdp, values)
-    # One Q-value per state, not the packed kernel: lookahead's truncated
-    # rollout sweeps small models once per decision, and there the kernel's
-    # fixed numpy cost per call exceeds this whole loop.
     out = [0.0] * mdp.n_states
     for x in range(1, mdp.n_states):
         out[x] = q_value(mdp, values, x, policy[x])

@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
+from dpnewton import cli
 from dpnewton.cli import main
-from dpnewton.formats import save_mdp
+from dpnewton.formats import load_mdp, save_mdp
+from dpnewton.lookahead import LookaheadSpec, lookahead_policy
+from dpnewton.mdp import bellman_operator, zero_values
 
 from util import two_state_mdp, uniform_tree_mdp
 
@@ -69,7 +72,7 @@ def test_vi_non_convergence_exits_3(capsys):
     rc = main(["riccati", "vi", "--a", "1", "--b", "0.2", "--q", "0.1", "--r", "5",
                "--max-iters", "100"])
     assert rc == 3
-    assert "residual" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("residual") == 1
 
 
 def test_vi_converges_and_reports_sweeps(capsys):
@@ -119,17 +122,60 @@ def test_mdp_lookahead_reports_the_leaf_count(tmp_path, capsys):
     assert lines[2] == "leaves=216"
 
 
-def test_too_deep_lookahead_fails_on_one_line(tmp_path):
-    # the search recurses once per stage, so depth 1200 exceeds the
-    # interpreter's recursion limit; that must surface as exit 1 with a
-    # one-line message, not a traceback
-    assert run_cli("mdp", "random", "--seed", "11", "--out", str(tmp_path)).returncode == 0
-    proc = run_cli("mdp", "lookahead", "--file", str(tmp_path / "mdp.json"),
-                   "--state", "1", "--depth", "1200")
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("internal error: RecursionError")
-    assert len(proc.stderr.splitlines()) == 1
+def test_deep_lookahead_equals_one_step_against_swept_terminal(tmp_path, capsys):
+    # the search folds stage tables instead of recursing, so depths past the
+    # interpreter's recursion limit finish, and a depth-l search is one step
+    # against the terminal swept l-1 times by the Bellman operator
+    assert main(["mdp", "random", "--seed", "11", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "mdp.json"
+    model = load_mdp(path)
+    for depth in (1200, 5000):
+        terminal = zero_values(model)
+        for _ in range(depth - 1):
+            terminal = bellman_operator(model, terminal)
+        want = lookahead_policy(model, LookaheadSpec(depth=1, terminal=terminal), 1)
+        assert main(["mdp", "lookahead", "--file", str(path), "--state", "1",
+                     "--depth", str(depth)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"control={want.control}"
+        assert lines[1] == f"value={want.value!r}"
+
+
+def test_unexpected_error_is_reported_on_one_line(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_riccati_solve", boom)
+    assert main(["riccati", "solve", *NOMINAL_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom second line")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def _from_digits(text):
+    # int() refuses more than 4300 digits at once: rebuild the value in chunks
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_lookahead_prints_leaf_counts_of_any_size(tmp_path, capsys):
+    # 6^5600 has 4358 digits, past the interpreter's default limit for
+    # int-to-decimal conversion
+    path = tmp_path / "tree.json"
+    save_mdp(uniform_tree_mdp(), path)
+    assert main(["mdp", "lookahead", "--file", str(path), "--state", "1",
+                 "--depth", "5600", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    digits = lines[2].removeprefix("leaves=")
+    assert len(digits) > 4300
+    assert _from_digits(digits) == 6**5600
+    doc = json.loads((tmp_path / "lookahead.json").read_text(), parse_int=str)
+    assert doc["leaves"] == digits
 
 
 def test_importing_the_cli_does_not_load_numpy():

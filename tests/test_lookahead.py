@@ -289,3 +289,26 @@ def test_search_matches_the_brute_force_oracle():
     tie = two_state_mdp()
     choice = lookahead_policy(tie, LookaheadSpec(depth=1, terminal=[0.0, 4.0]), 1)
     assert tuple(choice) == lookahead_oracle(tie, [0.0, 4.0], 1, 1) == (0, 3.0, 2)
+
+
+def test_overrides_on_unvisited_pairs_are_ignored():
+    # State 2 cannot be reached from state 1, so the search never looks up
+    # the nominal outcome of (2, 1) and its out-of-range override stays
+    # unread; the same override on the root pair under "ce_all" is read.
+    mdp = FiniteMDP(0.5, [
+        [[(1.0, 0, 0.0)]],
+        [[(0.5, 1, 1.0), (0.5, 0, 2.0)], [(1.0, 0, 3.0)]],
+        [[(1.0, 1, 1.0)], [(0.5, 2, 0.0), (0.5, 0, 4.0)]],
+    ])
+    terminal = [0.0, 1.0, 2.0]
+    base = [0, 0, 1]
+    for mode in ("exact", "ce_after_first", "ce_all"):
+        for steps in (0, 2):
+            plain = LookaheadSpec(depth=3, terminal=terminal, rollout_steps=steps, base=base,
+                                  ce_mode=mode)
+            unread = LookaheadSpec(depth=3, terminal=terminal, rollout_steps=steps, base=base,
+                                   ce_mode=mode, nominal={(2, 1): 7})
+            assert lookahead_policy(mdp, unread, 1) == lookahead_policy(mdp, plain, 1)
+    at_root = LookaheadSpec(depth=3, terminal=terminal, ce_mode="ce_all", nominal={(1, 0): 7})
+    with pytest.raises(ValueError):
+        lookahead_policy(mdp, at_root, 1)
