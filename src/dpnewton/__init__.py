@@ -15,6 +15,7 @@ from .adaptive import (
     robustness_sweep,
     superlinear_ratios,
 )
+from .errors import ConvergenceError, MDPValidationError
 from .formats import load_mdp, save_mdp
 from .lookahead import (
     LookaheadChoice,
@@ -28,7 +29,7 @@ from .lq import (
     ScalarLQProblem,
     StabilityRegion,
 )
-from .mdp import ConvergenceError, FiniteMDP, MDPValidationError, Outcome
+from .mdp import FiniteMDP, Outcome
 
 __version__ = "0.1.0"
 

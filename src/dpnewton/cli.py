@@ -7,10 +7,12 @@ JSON config document (flags win), or a mix.  Outputs are deterministic: CSV
 tables carry a header row and 17-significant-digit reals, scalar prints use
 the shortest round-trip form, infinities are spelled `inf`.
 
-Exit codes: 0 success; 1 a result violated an in-process invariant check,
-or any other unexpected error (reported on one line); 2 invalid input (the
-message names the first offending field); 3 an iteration failed to converge
-(the message carries the residual).
+Exit codes, each for one family of exceptions mapped in `main`:
+0 success; 2 invalid input, any ValueError (MDPValidationError and
+malformed JSON included) or OSError, whose message names the first
+offending field or quantity; 3 non-convergence, a ConvergenceError, whose
+message carries the residual once; 1 anything else: a result that violated
+an in-process invariant check, or an unexpected exception (one line).
 """
 
 from __future__ import annotations
@@ -22,19 +24,14 @@ import sys
 from pathlib import Path
 
 from . import adaptive, formats, generators, lq, mdp
+from .errors import ConvergenceError
+from .formats import parse_real
 from .lookahead import CE_MODES, LookaheadSpec, lookahead_policy
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _real(raw) -> float:
-    x = float(raw)
-    if math.isnan(x):
-        raise ValueError("NaN is not a value")
-    return x
 
 
 def _count(raw) -> int:
@@ -45,8 +42,8 @@ def _count(raw) -> int:
 
 def _reals(raw) -> list[float]:
     if isinstance(raw, (list, tuple)):
-        return [_real(v) for v in raw]
-    return [_real(part) for part in str(raw).split(",")]
+        return [parse_real(v) for v in raw]
+    return [parse_real(part) for part in str(raw).split(",")]
 
 
 def _counts(raw) -> list[int]:
@@ -58,17 +55,20 @@ def _counts(raw) -> list[int]:
 def _grid(raw) -> list[float]:
     """Either `lo:hi:step` (inclusive endpoints) or a comma list of values."""
     if isinstance(raw, (list, tuple)):
-        return [_real(v) for v in raw]
+        return [parse_real(v) for v in raw]
     text = str(raw)
     if ":" not in text:
-        return [_real(part) for part in text.split(",")]
+        return [parse_real(part) for part in text.split(",")]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
-    lo, hi, step = (_real(p) for p in parts)
+    lo, hi, step = (parse_real(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ValueError(f"grid {text!r} must have step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValueError(f"grid {text!r} must span a finite number of steps")
+    count = int(math.floor(span + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -78,14 +78,14 @@ def _schedule(raw) -> list[tuple[int, float, float]]:
         entries = []
         for item in raw:
             time, b, r = item
-            entries.append((_count(time), _real(b), _real(r)))
+            entries.append((_count(time), parse_real(b), parse_real(r)))
         return entries
     entries = []
     for part in str(raw).split(","):
         bits = part.split(":")
         if len(bits) != 3:
             raise ValueError(f"schedule entry must be time:b:r, got {part!r}")
-        entries.append((_count(bits[0]), _real(bits[1]), _real(bits[2])))
+        entries.append((_count(bits[0]), parse_real(bits[1]), parse_real(bits[2])))
     return entries
 
 
@@ -133,7 +133,7 @@ def _settle(args) -> dict:
             continue
         try:
             values[opt.dest] = opt.conv(raw)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{opt.name}: {err}") from None
     return values
 
@@ -167,10 +167,10 @@ def _emit_json(args, filename, payload):
 
 
 _PROBLEM_OPTS = [
-    _Opt("a", _real, required=True, help="plant coefficient"),
-    _Opt("b", _real, required=True, help="control coefficient (nonzero)"),
-    _Opt("q", _real, required=True, help="state cost weight (> 0)"),
-    _Opt("r", _real, required=True, help="control cost weight (> 0)"),
+    _Opt("a", parse_real, required=True, help="plant coefficient"),
+    _Opt("b", parse_real, required=True, help="control coefficient (nonzero)"),
+    _Opt("q", parse_real, required=True, help="state cost weight (> 0)"),
+    _Opt("r", parse_real, required=True, help="control cost weight (> 0)"),
 ]
 
 
@@ -204,7 +204,7 @@ def _cmd_riccati_vi(args) -> int:
             break
         k = nxt
     else:
-        raise mdp.ConvergenceError(
+        raise ConvergenceError(
             f"value iteration still moving after {values['max_iters']} sweeps",
             residual=abs(rows[-1][1] - rows[-2][1]),
         )
@@ -415,20 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
     ric = families.add_parser("riccati", help="scalar linear-quadratic commands")
     ric_sub = ric.add_subparsers(dest="command", required=True)
     _add_command(ric_sub, "solve", _PROBLEM_OPTS + [
-        _Opt("tol", _real, default=1e-12, help="fixed-point residual tolerance"),
+        _Opt("tol", parse_real, default=1e-12, help="fixed-point residual tolerance"),
     ], _cmd_riccati_solve, help="optimal coefficient and gain")
     _add_command(ric_sub, "vi", _PROBLEM_OPTS + [
-        _Opt("start", _real, default=0.0, help="initial coefficient"),
-        _Opt("tol", _real, default=1e-12),
+        _Opt("start", parse_real, default=0.0, help="initial coefficient"),
+        _Opt("tol", parse_real, default=1e-12),
         _Opt("max-iters", _count, default=100_000),
     ], _cmd_riccati_vi, help="value iteration on the coefficient")
     _add_command(ric_sub, "pi", _PROBLEM_OPTS + [
-        _Opt("start-gain", _real, required=True, help="stable initial gain"),
-        _Opt("tol", _real, default=1e-12),
+        _Opt("start-gain", parse_real, required=True, help="stable initial gain"),
+        _Opt("tol", parse_real, default=1e-12),
         _Opt("max-iters", _count, default=100),
     ], _cmd_riccati_pi, help="policy iteration table")
     _add_command(ric_sub, "newton", _PROBLEM_OPTS + [
-        _Opt("start", _real, required=True, help="initial coefficient"),
+        _Opt("start", parse_real, required=True, help="initial coefficient"),
         _Opt("steps", _count, default=1),
     ], _cmd_riccati_newton, help="greedy-step iterates")
     _add_command(ric_sub, "sweep-stability", _PROBLEM_OPTS,
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _FILE = _Opt("file", str, required=True, help="MDP interchange document")
     _add_command(mdp_sub, "solve", [
         _FILE,
-        _Opt("tol", _real, default=1e-12),
+        _Opt("tol", parse_real, default=1e-12),
         _Opt("max-iters", _count, default=100_000),
     ], _cmd_mdp_solve, help="optimal values and policy by value iteration")
     _add_command(mdp_sub, "rollout", [
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     ], _cmd_mdp_lyapunov, help="pointwise descent certificate check")
     _add_command(mdp_sub, "random", [
         _Opt("seed", _count, required=True),
-        _Opt("discount", _real, default=0.9),
+        _Opt("discount", parse_real, default=0.9),
         _Opt("states", _count, default=None),
         _Opt("reach-termination", _count, default=0, help="1 forces a path to termination"),
     ], _cmd_mdp_random, help="write a seeded random instance")
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     ], _cmd_adaptive_sweep, help="robustness sweep around the nominal design")
     _add_command(ada_sub, "replan", _PROBLEM_OPTS + [
         _Opt("schedule", _schedule, required=True, help="time:b:r, comma-separated"),
-        _Opt("x0", _real, default=1.0),
+        _Opt("x0", parse_real, default=1.0),
         _Opt("horizon", _count, default=40),
         _Opt("mode", str, default="all", help="|".join(adaptive.MODES + ("all",))),
     ], _cmd_adaptive_replan, help="closed-loop simulation under a parameter schedule")
@@ -490,18 +490,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except mdp.MDPValidationError as err:
-        print(f"validation error at {err.path}: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except mdp.ConvergenceError as err:
+    except ConvergenceError as err:
         print(f"did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ArithmeticError as err:
-        print(f"did not converge: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except FileNotFoundError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except json.JSONDecodeError as err:
         print(f"validation error: malformed JSON: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,7 +14,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .mdp import FiniteMDP, MDPValidationError
+from .errors import MDPValidationError
+from .mdp import FiniteMDP
 
 __all__ = [
     "fmt_real",
@@ -38,7 +39,7 @@ def fmt_real(x: float) -> str:
 def parse_real(s: str) -> float:
     x = float(s)
     if math.isnan(x):
-        raise ValueError("NaN has no serialized form")
+        raise ValueError("NaN is not a value")
     return x
 
 
@@ -109,7 +110,10 @@ def _require(doc: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MDPValidationError(where, f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise MDPValidationError(where, "the number leaves the double range") from None
     if not isinstance(value, kind):
         raise MDPValidationError(where, f"expected {kind.__name__}, got {value!r}")
     return value

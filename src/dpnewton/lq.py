@@ -19,13 +19,17 @@ and policy iteration are all built out of that one move.
 
 Everything here is closed form in double precision.  An unstable closed
 loop has infinite cost, represented by math.inf and kept out of arithmetic
-that could produce NaNs.
+that could produce NaNs.  A finite answer that the double range cannot
+hold raises a ValueError naming the quantity that left it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+from .errors import ConvergenceError
 
 __all__ = [
     "ScalarLQProblem",
@@ -168,6 +172,42 @@ def policy_operator(problem: ScalarLQProblem, gain: LinearGain, K: float) -> flo
     return gain.closed_loop ** 2 * K + p.q + p.r * gain.gain ** 2
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
+def _out_of_range(quantity: str, p: ScalarLQProblem) -> ValueError:
+    return ValueError(
+        f"{quantity} leaves the double range at a={p.a!r}, b={p.b!r}, q={p.q!r}, r={p.r!r}"
+    )
+
+
+def _first_out_of_range(A: float, B: float, C: float, D: float) -> str | None:
+    """First quantity of solve_riccati's quadratic outside the double range.
+
+    b*b, q*r and the discriminant are nonzero in exact arithmetic, so a
+    zero or subnormal value has lost its precision; the linear coefficient
+    may vanish and can only overflow.
+    """
+    checks = (
+        ("b*b", not _MIN_NORMAL <= A < math.inf),
+        ("r - a*a*r - q*b*b", math.isinf(B)),
+        ("q*r", not _MIN_NORMAL <= -C < math.inf),
+        ("(r - a*a*r - q*b*b)^2 + 4*b*b*q*r", not _MIN_NORMAL <= D < math.inf),
+    )
+    return next((name for name, out in checks if out), None)
+
+
+def _exact_residual(p: ScalarLQProblem, K: float) -> float:
+    """F(K) - K in exact rationals, rounded once: inf when F(K) is out of range."""
+    from fractions import Fraction
+
+    a, b, q, r, k = (Fraction(v) for v in (p.a, p.b, p.q, p.r, K))
+    try:
+        return float(a * a * r * k / (r + b * b * k) + q - k)
+    except OverflowError:
+        return math.inf
+
+
 def solve_riccati(problem: ScalarLQProblem, tol: float = 1e-12) -> float:
     """Unique positive fixed point of F.
 
@@ -177,25 +217,47 @@ def solve_riccati(problem: ScalarLQProblem, tol: float = 1e-12) -> float:
     cancellation-free branch of the quadratic formula and then polished
     with a couple of Newton steps on K - F(K), which pins the result to
     the same fixed point the step operators converge to.
+
+    Coefficients whose solve leaves the double range raise a ValueError
+    naming the quantity that did: b*b, a coefficient or the discriminant
+    of the quadratic, the root K* or F(K*).  Where riccati_operator itself
+    overflows, the final residual is taken in exact rationals.  A residual
+    above tol otherwise raises ConvergenceError.
     """
     p = problem
     A = p.b * p.b
     B = p.r - p.a * p.a * p.r - p.q * A
     C = -p.q * p.r
-    disc = math.sqrt(B * B - 4.0 * A * C)
+    D = B * B - 4.0 * A * C
+    disc = math.sqrt(D)
     if B > 0.0:
         K = 2.0 * C / (-B - disc)
+    elif A == 0.0:
+        raise _out_of_range("b*b", p)
     else:
         K = (disc - B) / (2.0 * A)
+    if not math.isfinite(K):
+        raise _out_of_range(_first_out_of_range(A, B, C, D) or "the root K*", p)
     for _ in range(3):
         residual = riccati_operator(p, K) - K
         slope = riccati_derivative(p, K)
+        if slope == 1.0:
+            break  # F'(K) rounds to 1: the Newton step is undefined
         refined = K + residual / (1.0 - slope)
         if not math.isfinite(refined) or refined <= 0.0 or refined == K:
             break
         K = refined
-    if abs(riccati_operator(p, K) - K) > tol * max(1.0, K):
-        raise ArithmeticError(f"Riccati solve left residual above {tol} at K={K!r}")
+    residual = riccati_operator(p, K) - K
+    if not (math.isfinite(residual) and A >= _MIN_NORMAL and math.isfinite(A * K)):
+        # riccati_operator's own arithmetic left the double range
+        residual = _exact_residual(p, K)
+    if abs(residual) > tol * max(1.0, K):
+        lost = _first_out_of_range(A, B, C, D)
+        if lost is None and math.isinf(residual):
+            lost = "F(K*)"
+        if lost is not None:
+            raise _out_of_range(lost, p)
+        raise ConvergenceError(f"Riccati solve missed tol={tol} at K={K!r}", abs(residual))
     return K
 
 
@@ -218,12 +280,21 @@ def policy_cost(problem: ScalarLQProblem, gain: LinearGain) -> float:
     """Exact cost coefficient of a linear policy.
 
     The fixed point of F_L: (q + r L^2) / (1 - (a+bL)^2) when the closed
-    loop is strictly stable, math.inf otherwise (|a+bL| = 1 included).
+    loop is strictly stable, math.inf otherwise (|a+bL| = 1 included).  A
+    stable gain whose finite cost overflows raises a ValueError.
     """
     if not gain.stable:
         return math.inf
     p = problem
-    return (p.q + p.r * gain.gain ** 2) / (1.0 - gain.closed_loop ** 2)
+    try:
+        cost = (p.q + p.r * gain.gain ** 2) / (1.0 - gain.closed_loop ** 2)
+    except OverflowError:
+        cost = math.inf
+    if cost == math.inf:
+        raise ValueError(
+            f"the policy cost of the stable gain {gain.gain!r} leaves the double range"
+        )
+    return cost
 
 
 def value_iterate(problem: ScalarLQProblem, K0: float, steps: int) -> list[float]:
@@ -345,8 +416,10 @@ def policy_iteration(
         if abs(cost - K_opt) <= tol and abs(gain.gain - L_opt.gain) <= tol:
             return iterates
         gain = greedy_gain(problem, cost)
-    raise ArithmeticError(
-        f"policy iteration failed to reach tol={tol} within {max_iters} rounds"
+    last = iterates[-1][1] if iterates else policy_cost(problem, start)
+    raise ConvergenceError(
+        f"policy iteration failed to reach tol={tol} within {max_iters} rounds",
+        abs(last - K_opt),
     )
 
 

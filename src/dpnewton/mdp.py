@@ -20,6 +20,8 @@ import math
 import numbers
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .errors import ConvergenceError, MDPValidationError
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -40,22 +42,6 @@ __all__ = [
     "rollout_policy",
     "lyapunov_check",
 ]
-
-
-class MDPValidationError(ValueError):
-    """Invalid MDP data; path points at the first offending field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations; residual is attached."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (residual {residual!r})")
 
 
 class Outcome(NamedTuple):
@@ -488,6 +474,12 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
     return values
 
 
+def _unstable(mdp: FiniteMDP, values: Sequence[float]) -> bool:
+    """Whether a policy's exact values show it unstable: only without
+    discounting can a cost be infinite."""
+    return mdp.discount == 1.0 and any(math.isinf(v) for v in values)
+
+
 def policy_is_stable(mdp: FiniteMDP, policy: Sequence[int]) -> bool:
     """Whether the policy's cost is finite from every state.
 
@@ -497,7 +489,7 @@ def policy_is_stable(mdp: FiniteMDP, policy: Sequence[int]) -> bool:
     into cost-free recurrent behavior."""
     if mdp.discount < 1.0:
         return True
-    return not any(math.isinf(v) for v in policy_evaluation(mdp, policy))
+    return not _unstable(mdp, policy_evaluation(mdp, policy))
 
 
 def policy_iteration(
@@ -508,14 +500,15 @@ def policy_iteration(
     cost, rounds used).  Controls change only on strict improvement, so a
     finite MDP always settles.  An undiscounted start must be stable."""
     policy = list(policy0)
-    if mdp.discount == 1.0 and not policy_is_stable(mdp, policy):
+    values = policy_evaluation(mdp, policy)
+    if _unstable(mdp, values):
         raise ValueError("policy iteration without discounting needs a stable start")
     for rounds in range(1, max_iters + 1):
-        values = policy_evaluation(mdp, policy)
         improved = _improved_policy(mdp, policy, values)
         if improved == policy:
             return policy, values, rounds
         policy = improved
+        values = policy_evaluation(mdp, policy)
     raise ConvergenceError(
         f"policy iteration did not settle in {max_iters} rounds", math.inf
     )
@@ -532,11 +525,14 @@ def rollout_policy(
     of terminal value used throughout this package.  Base controls are kept
     unless strictly improved, so an already greedy base is a fixed point
     even when another control ties it to the last bit."""
-    if mdp.discount == 1.0 and not policy_is_stable(mdp, base):
-        raise ValueError("rollout without discounting needs a stable base policy")
     if horizon is None:
         reference = policy_evaluation(mdp, base)
+        stable = not _unstable(mdp, reference)
     else:
+        stable = policy_is_stable(mdp, base)
+    if not stable:
+        raise ValueError("rollout without discounting needs a stable base policy")
+    if horizon is not None:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         reference = zero_values(mdp)

@@ -153,6 +153,76 @@ def test_unexpected_error_is_reported_on_one_line(monkeypatch, capsys):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
 
+    # arithmetic faults are defects too, not non-convergence
+    def divide(args):
+        return 1 / 0
+
+    monkeypatch.setattr(cli, "_cmd_riccati_solve", divide)
+    assert main(["riccati", "solve", *NOMINAL_FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ZeroDivisionError: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--a", "1", "--b", "1e-200", "--q", "1", "--r", "0.5"], "b*b"),
+    (["--a", "1", "--b", "1e200", "--q", "1", "--r", "0.5"], "b*b"),
+    (["--a", "1e200", "--b", "1", "--q", "1", "--r", "0.5"], "r - a*a*r - q*b*b"),
+])
+def test_riccati_out_of_range_is_a_validation_error(argv, named, capsys):
+    assert main(["riccati", "solve", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {named} leaves the double range at a=")
+    assert len(err.splitlines()) == 1
+    assert "nan" not in err
+
+
+def test_config_integer_beyond_the_double_range_names_the_field(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"a": 1' + "0" * 400 + ', "b": 1, "q": 1, "r": 0.5}')
+    assert main(["riccati", "solve", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "validation error: a: int too large to convert to float\n"
+
+
+def test_grid_with_an_infinite_span_is_rejected(capsys):
+    assert main(["adaptive", "sweep", *NOMINAL_FLAGS, "--grid-b", "0:inf:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: grid-b: ")
+    assert "finite number of steps" in err
+
+
+def test_newton_policy_cost_overflow_is_a_validation_error(capsys):
+    rc = main(["riccati", "newton", "--a", "1e100", "--b", "1e-60", "--q", "1", "--r", "1",
+               "--start", "1e221"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: the policy cost ")
+    assert len(err.splitlines()) == 1
+
+
+def test_pi_non_convergence_reports_the_residual_once(capsys):
+    rc = main(["riccati", "pi", *NOMINAL_FLAGS, "--start-gain", "-0.5", "--max-iters", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("did not converge: ")
+    assert err.count("residual") == 1
+
+
+def test_malformed_mdp_reports_its_path_once(tmp_path, capsys):
+    path = tmp_path / "leaky.json"
+    path.write_text(json.dumps({
+        "states": 2,
+        "alpha": 1.0,
+        "transitions": [
+            [[{"p": 1.0, "next": 0, "cost": 0.0}]],
+            [[{"p": 0.5, "next": 0, "cost": 1.0}]],
+        ],
+    }))
+    assert main(["mdp", "solve", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: transitions[1][0]: probabilities sum to 0.5, not 1\n"
+    )
+
 
 def _from_digits(text):
     # int() refuses more than 4300 digits at once: rebuild the value in chunks

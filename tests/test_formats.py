@@ -137,6 +137,12 @@ def test_loader_reports_first_violation_with_path():
         _load_text(json.dumps(extra))
     assert err.value.path == "transitions[1][0][0].weight"
 
+    # an integer no double can hold is out of range, not a crash
+    huge = json.dumps(good).replace('"cost": 3.0', '"cost": 1' + "0" * 400)
+    with pytest.raises(MDPValidationError) as err:
+        _load_text(huge)
+    assert err.value.path == "transitions[1][0][0].cost"
+
     # semantic checks (here: a leaky distribution) keep the same convention
     leaky = json.loads(json.dumps(good))
     leaky["transitions"][1][0][0]["p"] = 0.25

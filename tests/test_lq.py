@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from dpnewton.errors import ConvergenceError
 from dpnewton.lq import (
     LinearGain,
     ScalarLQProblem,
@@ -26,7 +27,7 @@ from dpnewton.lq import (
     stability_region,
     value_iterate,
 )
-from util import lq_newton_oracle, lq_policy_cost_oracle
+from util import lq_exact_residual_oracle, lq_newton_oracle, lq_policy_cost_oracle
 
 NOMINAL = ScalarLQProblem(1.0, 2.0, 1.0, 0.5)
 # Fixed point of K = 0.5 K/(0.5+4K) + 1, i.e. 8K^2 - 8K - 1 = 0.
@@ -92,6 +93,37 @@ def test_solve_riccati_residual_across_extreme_b():
             p = ScalarLQProblem(a, b, 0.7, 2.3)
             K = solve_riccati(p)
             assert abs(riccati_operator(p, K) - K) <= 1e-12 * max(1.0, K)
+
+
+def test_solve_riccati_where_the_newton_slope_rounds_to_one():
+    # K* = 1e-150 makes F'(K*) = 1 in double precision, so the polish has no
+    # Newton step to take and the closed-form root must stand on its own
+    p = ScalarLQProblem(1.0, 1.0, 1e-300, 1.0)
+    K = solve_riccati(p)
+    assert lq_exact_residual_oracle(p.a, p.b, p.q, p.r, K) <= 1e-12
+
+
+def test_non_convergence_raises_with_a_finite_residual():
+    p = ScalarLQProblem(1.0, 0.7, 0.5, 1.0)
+    with pytest.raises(ConvergenceError) as err:
+        solve_riccati(p, tol=0.0)
+    assert 0.0 < err.value.residual < 1e-15
+    assert str(err.value).count("residual") == 1
+    with pytest.raises(ConvergenceError) as err:
+        policy_iteration(NOMINAL, LinearGain.from_gain(NOMINAL, -0.5), max_iters=1)
+    assert math.isfinite(err.value.residual) and err.value.residual > 1e-12
+    assert str(err.value).count("residual") == 1
+
+
+def test_policy_cost_overflow_is_a_value_error():
+    # both gains are stable, so an infinite cost would claim the opposite
+    steep = ScalarLQProblem(1e100, 1e-60, 1.0, 1.0)
+    heavy = ScalarLQProblem(1e100, 1e-50, 1.0, 1e10)
+    for p, gain in ((steep, -1e160), (heavy, -1e150)):
+        base = LinearGain.from_gain(p, gain)
+        assert base.stable
+        with pytest.raises(ValueError, match="policy cost"):
+            policy_cost(p, base)
 
 
 def test_greedy_gain_values():

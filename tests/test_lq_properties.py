@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpnewton.errors import ConvergenceError
 from dpnewton.lq import (
     LinearGain,
     ScalarLQProblem,
@@ -20,7 +21,7 @@ from dpnewton.lq import (
     stability_region,
     value_iterate,
 )
-from util import lq_newton_oracle
+from util import lq_exact_residual_oracle, lq_newton_oracle
 
 
 def random_problems(seed, count, a_low=-2.0, a_high=2.0):
@@ -172,3 +173,37 @@ def test_stability_region_matches_newton_boundary():
         for K in probes:
             finite = math.isfinite(newton_step(p, K).cost)
             assert finite == region.contains(K), (p, K)
+
+
+RANGE_QUANTITIES = {
+    "b*b", "r - a*a*r - q*b*b", "q*r", "(r - a*a*r - q*b*b)^2 + 4*b*b*q*r",
+    "the root K*", "F(K*)",
+}
+
+
+def test_solve_riccati_answers_or_names_the_quantity_out_of_range():
+    # log-uniform coefficients over 10^+-150 (random signs for a and b):
+    # every draw returns a K* that the exact-rational residual confirms, or a
+    # ValueError naming what left the double range
+    rng = np.random.default_rng(71)
+    solved, named = 0, set()
+    for _ in range(2400):
+        a, b, q, r = (float(m) for m in 10.0 ** rng.uniform(-150.0, 150.0, size=4))
+        a *= float(rng.choice([-1.0, 1.0]))
+        b *= float(rng.choice([-1.0, 1.0]))
+        try:
+            K = solve_riccati(ScalarLQProblem(a, b, q, r))
+        except ConvergenceError as err:
+            pytest.fail(f"ConvergenceError at {(a, b, q, r)}: {err}")
+        except ValueError as err:
+            message = str(err)
+            assert "nan" not in message, message
+            quantity, sep, _ = message.partition(" leaves the double range at ")
+            assert sep and quantity in RANGE_QUANTITIES, message
+            named.add(quantity)
+            continue
+        assert math.isfinite(K) and K > 0.0, (a, b, q, r, K)
+        assert lq_exact_residual_oracle(a, b, q, r, K) <= 1e-12, (a, b, q, r, K)
+        solved += 1
+    assert solved >= 800
+    assert len(named) >= 3

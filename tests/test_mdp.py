@@ -219,6 +219,31 @@ def test_policy_iteration_hand_example():
         policy_iteration(two_state_mdp(alpha=1.0), [0, STAY])
 
 
+def test_undiscounted_start_is_evaluated_once(monkeypatch):
+    import dpnewton.mdp as mdp_module
+
+    calls = []
+
+    def counting(mdp, policy):
+        calls.append(list(policy))
+        return policy_evaluation(mdp, policy)
+
+    monkeypatch.setattr(mdp_module, "policy_evaluation", counting)
+    # the first controls of this model terminate: a stable start
+    model = random_mdp(0, 1.0, reach_termination=True)
+    _, _, rounds = policy_iteration(model, [c[0] for c in model.controls])
+    assert rounds == 3
+    assert len(calls) == rounds
+    calls.clear()
+    model = two_state_mdp(alpha=1.0)
+    assert rollout_policy(model, [0, QUIT]) == [0, QUIT]
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(ValueError, match="stable"):
+        rollout_policy(model, [0, STAY])
+    assert len(calls) == 1
+
+
 def test_policy_iteration_matches_value_iteration_on_random_mdps():
     for seed in range(100):
         mdp = random_mdp(seed, discount=0.9)

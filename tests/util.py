@@ -6,6 +6,7 @@ rather than echo it.
 """
 
 import math
+from fractions import Fraction
 
 from dpnewton.mdp import FiniteMDP
 
@@ -13,6 +14,13 @@ from dpnewton.mdp import FiniteMDP
 def lq_riccati_oracle(a, b, q, r, K):
     """F(K) straight from the defining expression."""
     return a * a * r * K / (r + b * b * K) + q
+
+
+def lq_exact_residual_oracle(a, b, q, r, K):
+    """|F(K) - K| / max(1, K) in exact rationals: every double is a
+    Fraction exactly, so nothing here rounds, overflows or underflows."""
+    a, b, q, r, K = (Fraction(v) for v in (a, b, q, r, K))
+    return abs(a * a * r * K / (r + b * b * K) + q - K) / max(1, K)
 
 
 def lq_derivative_oracle(a, b, q, r, K):
