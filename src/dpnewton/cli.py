@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import adaptive, formats, generators, lq, mdp
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_budget
 from .formats import parse_real
 from .lookahead import CE_MODES, LookaheadSpec, lookahead_policy
 
@@ -195,6 +195,7 @@ def _cmd_riccati_vi(args) -> int:
     p = _problem(values)
     k = values["start"]
     tol = values["tol"]
+    check_budget(tol, values["max_iters"])
     rows = [(0, k)]
     for sweep in range(1, values["max_iters"] + 1):
         nxt = lq.riccati_operator(p, k)
@@ -204,9 +205,11 @@ def _cmd_riccati_vi(args) -> int:
             break
         k = nxt
     else:
+        # with no sweep allowed, the residual is the step a first sweep takes
+        last = rows[-2][1] if len(rows) > 1 else lq.riccati_operator(p, k)
         raise ConvergenceError(
             f"value iteration still moving after {values['max_iters']} sweeps",
-            residual=abs(rows[-1][1] - rows[-2][1]),
+            residual=abs(k - last),
         )
     print(f"K={k!r}")
     print(f"sweeps={rows[-1][0]}")

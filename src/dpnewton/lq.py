@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_budget
 
 __all__ = [
     "ScalarLQProblem",
@@ -222,8 +222,10 @@ def solve_riccati(problem: ScalarLQProblem, tol: float = 1e-12) -> float:
     naming the quantity that did: b*b, a coefficient or the discriminant
     of the quadratic, the root K* or F(K*).  Where riccati_operator itself
     overflows, the final residual is taken in exact rationals.  A residual
-    above tol otherwise raises ConvergenceError.
+    above tol otherwise raises ConvergenceError; a negative tol raises
+    ValueError.
     """
+    check_budget(tol)
     p = problem
     A = p.b * p.b
     B = p.r - p.a * p.a * p.r - p.q * A
@@ -404,6 +406,7 @@ def policy_iteration(
     rounds (the gain trails the cost by one squaring, hence the second
     condition).
     """
+    check_budget(tol, max_iters)
     if not start.stable:
         raise ValueError("policy iteration must start from a stable policy")
     K_opt = solve_riccati(problem)

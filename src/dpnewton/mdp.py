@@ -20,7 +20,7 @@ import math
 import numbers
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import ConvergenceError, MDPValidationError
+from .errors import ConvergenceError, MDPValidationError, check_budget
 
 if TYPE_CHECKING:
     import numpy as np
@@ -241,6 +241,12 @@ def _check_values(mdp: FiniteMDP, values: Sequence[float], where: str = "values"
         raise ValueError(f"{where}: expected {mdp.n_states} entries, got {len(values)}")
     if values[0] != 0.0:
         raise ValueError(f"{where}[0]: the termination state is pinned to 0")
+    total = sum(values)
+    # A valid table passes on two C-level passes: its minimum is nonnegative
+    # and its sum is not NaN (one NaN entry makes the sum NaN).  Otherwise
+    # the loop finds the first offending entry.
+    if min(values) >= 0.0 and total == total:
+        return
     for x, v in enumerate(values):
         if not v >= 0.0:  # also true for NaN
             raise ValueError(f"{where}[{x}]: entries are nonnegative reals, got {v!r}")
@@ -277,23 +283,38 @@ def _q_table(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
     return acc
 
 
+def _sweep(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
+    """The optimality sweep as an array, on a table already checked."""
+    out = _q_table(mdp, values).min(axis=1)
+    out[0] = 0.0
+    return out
+
+
 def bellman_operator(mdp: FiniteMDP, values: Sequence[float]) -> list[float]:
     """One exact sweep of the optimality recursion; entry 0 stays 0."""
     _check_values(mdp, values)
-    out = _q_table(mdp, values).min(axis=1)
-    out[0] = 0.0
-    return out.tolist()
+    return _sweep(mdp, values).tolist()
+
+
+def _policy_slots(mdp: FiniteMDP, policy: Sequence[int], first: int = 0) -> list[int]:
+    """Slot of policy[x] at every state x from `first` on; the states before
+    `first` take slot 0 and their entries of the policy are not read.  An
+    inadmissible control raises ValueError naming the first such state."""
+    return [0] * first + [mdp._slot(x, policy[x]) for x in range(first, mdp.n_states)]
 
 
 def policy_operator(
     mdp: FiniteMDP, policy: Sequence[int], values: Sequence[float]
 ) -> list[float]:
-    """One exact sweep for a fixed policy; entry 0 stays 0."""
+    """One exact sweep for a fixed policy; entry 0 stays 0 and policy[0] is
+    not read."""
+    import numpy as np
+
     _check_values(mdp, values)
-    out = [0.0] * mdp.n_states
-    for x in range(1, mdp.n_states):
-        out[x] = q_value(mdp, values, x, policy[x])
-    return out
+    slots = _policy_slots(mdp, policy, first=1)
+    out = _q_table(mdp, values)[np.arange(mdp.n_states), slots]
+    out[0] = 0.0
+    return out.tolist()
 
 
 def greedy_policy(mdp: FiniteMDP, values: Sequence[float]) -> list[int]:
@@ -320,19 +341,10 @@ def _improved_policy(
     import numpy as np
 
     rows = np.arange(mdp.n_states)
-    incumbent = np.array([mdp._slot(x, base[x]) for x in range(mdp.n_states)], dtype=np.intp)
+    incumbent = np.array(_policy_slots(mdp, base), dtype=np.intp)
     q = _q_table(mdp, values)
     chosen = np.where(q.min(axis=1) < q[rows, incumbent], q.argmin(axis=1), incumbent)
     return mdp._packed.ids[rows, chosen].tolist()
-
-
-def _sup_diff(a: Sequence[float], b: Sequence[float]) -> float:
-    worst = 0.0
-    for x, y in zip(a, b):
-        # equal entries are skipped, which also covers matching infinities
-        if x != y and abs(x - y) > worst:
-            worst = abs(x - y)
-    return worst
 
 
 def value_iteration(
@@ -343,15 +355,26 @@ def value_iteration(
 ) -> tuple[list[float], int]:
     """Iterate the optimality sweep until the sup-norm residual is at most
     tol; returns (values, sweeps applied).  A start that already meets the
-    tolerance returns unchanged with a count of 0."""
-    values = list(values0) if values0 is not None else zero_values(mdp)
-    _check_values(mdp, values)
-    residual = math.inf
+    tolerance returns unchanged with a count of 0.
+
+    The first sweep is bellman_operator's, which validates the start; later
+    sweeps run on a float64 array, and a sweep of a valid table is valid.
+    The residual is the largest |swept - values| over unequal entries, so
+    matching infinities count as converged.  A negative tol or max_iters
+    raises ValueError."""
+    import numpy as np
+
+    check_budget(tol, max_iters)
+    start = list(values0) if values0 is not None else zero_values(mdp)
+    swept = np.array(bellman_operator(mdp, start))
+    values = np.asarray(start, dtype=np.float64)
     for k in range(max_iters + 1):
-        swept = bellman_operator(mdp, values)
-        residual = _sup_diff(swept, values)
+        if k:
+            swept = _sweep(mdp, values)
+        gaps = np.subtract(swept, values, out=np.zeros(len(values)), where=swept != values)
+        residual = float(np.abs(gaps).max())
         if residual <= tol:
-            return values, k
+            return (values.tolist() if k else start), k
         values = swept
     raise ConvergenceError(
         f"value iteration missed tol={tol} after {max_iters} sweeps", residual
@@ -434,14 +457,21 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
     the least-fixed-point value 0 (what iterating from zero converges to);
     the remaining states see the chain leave them with probability one, and
     their restricted linear system is nonsingular.
+
+    The system is built from the packed arrays one outcome column at a time,
+    in outcome order: rhs gains p * cost, and the matrix loses alpha * p at
+    the successor's column where the successor is unknown.  Within a column
+    each row appears once, so every entry takes the same float operations in
+    the same order as a per-state loop over the outcomes.
     """
     import numpy as np
 
     n = mdp.n_states
-    edges = _closed_loop(mdp, policy)
+    slots = _policy_slots(mdp, policy)
     if mdp.discount < 1.0:
         unknown = list(range(1, n))
     else:
+        edges = _closed_loop(mdp, policy)
         recurrent = _recurrent_states(edges)
         bad = [x for x in recurrent if any(out.cost > 0.0 for out in edges[x])]
         infinite = _reaching(edges, bad)
@@ -454,23 +484,28 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
         if not unknown:
             return values
 
-    index = {x: i for i, x in enumerate(unknown)}
     m = len(unknown)
+    i = np.arange(m)
+    column = np.full(n, -1, dtype=np.intp)  # unknown state -> its index
+    column[unknown] = i
+    packed = mdp._packed
+    rows = np.array(unknown, dtype=np.intp)
+    at = (slice(None), rows, np.asarray(slots, dtype=np.intp)[rows])
     A = np.eye(m)
     rhs = np.zeros(m)
-    for x in unknown:
-        i = index[x]
-        for p, nxt, cost in edges[x]:
-            rhs[i] += p * cost
-            j = index.get(nxt)
-            if j is not None:
-                A[i, j] -= mdp.discount * p
+    # padding outcomes have p = 0, cost = 0 and lead to state 0, which is
+    # never unknown: they add 0.0 to rhs and leave A alone
+    for p, nxt, cost in zip(packed.p[at], packed.next[at], packed.cost[at]):
+        rhs += p * cost
+        j = column[nxt]
+        live = j >= 0
+        A[i[live], j[live]] -= mdp.discount * p[live]
     solved = np.linalg.solve(A, rhs)
 
     if mdp.discount < 1.0:
-        values = [0.0] * n
-    for x, v in zip(unknown, solved):
-        values[x] = float(v)
+        return [0.0] + solved.tolist()
+    for x, v in zip(unknown, solved.tolist()):
+        values[x] = v
     return values
 
 

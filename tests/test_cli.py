@@ -208,6 +208,49 @@ def test_pi_non_convergence_reports_the_residual_once(capsys):
     assert err.count("residual") == 1
 
 
+def test_mdp_solve_rejects_a_budget_no_run_can_meet(tmp_path, capsys):
+    path = tmp_path / "mdp.json"
+    save_mdp(two_state_mdp(), path)
+    for flags, message in (
+        (["--tol", "-1"], "tol must be a nonnegative real, got -1.0"),
+        (["--max-iters", "-1"], "max_iters must be nonnegative, got -1"),
+    ):
+        assert main(["mdp", "solve", "--file", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert main(["mdp", "solve", "--file", str(path), "--max-iters", "0"]) == 3
+    assert "after 0 sweeps (residual 1.0)" in capsys.readouterr().err
+
+
+def test_riccati_vi_budget_is_checked(capsys):
+    for flags, message in (
+        (["--tol", "-1"], "tol must be a nonnegative real, got -1.0"),
+        (["--max-iters", "-1"], "max_iters must be nonnegative, got -1"),
+    ):
+        assert main(["riccati", "vi", *NOMINAL_FLAGS, *flags]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+    # no sweep allowed: the residual is the step the first sweep would take
+    assert main(["riccati", "vi", *NOMINAL_FLAGS, "--max-iters", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "did not converge: value iteration still moving after 0 sweeps (residual 1.0)\n"
+    )
+
+
+def test_riccati_solve_rejects_a_negative_tolerance(capsys):
+    assert main(["riccati", "solve", *NOMINAL_FLAGS, "--tol", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: tol must be a nonnegative real, got -1.0\n"
+    )
+
+
+def test_riccati_pi_budget_is_checked(capsys):
+    for flags, message in (
+        (["--tol", "-1"], "tol must be a nonnegative real, got -1.0"),
+        (["--max-iters", "-1"], "max_iters must be nonnegative, got -1"),
+    ):
+        assert main(["riccati", "pi", *NOMINAL_FLAGS, "--start-gain", "-0.5", *flags]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_malformed_mdp_reports_its_path_once(tmp_path, capsys):
     path = tmp_path / "leaky.json"
     path.write_text(json.dumps({

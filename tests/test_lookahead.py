@@ -2,6 +2,8 @@
 reduction of a deep search to a one-step search, and the certainty
 equivalence modes."""
 
+import math
+
 import pytest
 
 from dpnewton.generators import random_mdp, random_policy, random_values
@@ -47,6 +49,25 @@ def test_call_validation():
     short_base = LookaheadSpec(depth=1, terminal=[0.0, 0.0], rollout_steps=1, base=[0])
     with pytest.raises(ValueError):
         lookahead_policy(mdp, short_base, 1)
+
+
+def test_terminal_tables_name_their_first_bad_entry():
+    mdp = random_mdp(3, discount=0.9, n_states=300)
+    good = random_values(4, mdp, 10.0)
+    for x, bad in ((299, math.nan), (40, -math.inf), (12, -0.5)):
+        terminal = list(good)
+        terminal[x] = bad
+        with pytest.raises(ValueError) as err:
+            lookahead_policy(mdp, LookaheadSpec(depth=2, terminal=terminal), 1)
+        assert str(err.value) == f"terminal[{x}]: entries are nonnegative reals, got {bad!r}"
+    # -0.0 and inf are accepted; depth 1 is the greedy step against them
+    terminal = list(good)
+    terminal[5], terminal[9] = -0.0, math.inf
+    policy = greedy_policy(mdp, terminal)
+    for x in (1, 5, 9, 299):
+        choice = lookahead_policy(mdp, LookaheadSpec(depth=1, terminal=terminal), x)
+        assert choice.control == policy[x]
+        assert choice.value == q_value(mdp, terminal, x, policy[x])
 
 
 def test_nominal_outcome_rule():

@@ -115,6 +115,21 @@ def test_non_convergence_raises_with_a_finite_residual():
     assert str(err.value).count("residual") == 1
 
 
+def test_a_budget_no_run_can_meet_is_invalid():
+    start = LinearGain.from_gain(NOMINAL, -0.5)
+    for call, named in (
+        (lambda: solve_riccati(NOMINAL, tol=-1e-12), "tol"),
+        (lambda: solve_riccati(NOMINAL, tol=math.nan), "tol"),
+        (lambda: policy_iteration(NOMINAL, start, tol=-1.0), "tol"),
+        (lambda: policy_iteration(NOMINAL, start, max_iters=-1), "max_iters"),
+    ):
+        with pytest.raises(ValueError, match=f"^{named} must be (a )?nonnegative"):
+            call()
+    # a zero budget is a valid request that cannot converge
+    with pytest.raises(ConvergenceError):
+        policy_iteration(NOMINAL, start, max_iters=0)
+
+
 def test_policy_cost_overflow_is_a_value_error():
     # both gains are stable, so an infinite cost would claim the opposite
     steep = ScalarLQProblem(1e100, 1e-60, 1.0, 1.0)

@@ -33,8 +33,10 @@ from util import (
     chain_classes_oracle,
     greedy_oracle,
     improvement_oracle,
+    policy_evaluation_oracle,
     q_table_oracle,
     two_state_mdp,
+    value_iteration_oracle,
 )
 
 STAY, QUIT = 0, 1
@@ -112,6 +114,22 @@ def test_value_iteration_hand_example():
     with pytest.raises(ConvergenceError) as err:
         value_iteration(mdp, tol=1e-12, max_iters=1)
     assert err.value.residual > 0
+
+
+def test_value_iteration_rejects_a_budget_no_run_can_meet():
+    mdp = two_state_mdp()
+    for kwargs, message in (
+        ({"tol": -1.0}, "tol must be a nonnegative real, got -1.0"),
+        ({"tol": math.nan}, "tol must be a nonnegative real, got nan"),
+        ({"max_iters": -1}, "max_iters must be nonnegative, got -1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            value_iteration(mdp, **kwargs)
+        assert str(err.value) == message
+    # a zero budget still measures the start
+    assert value_iteration(mdp, [0.0, 2.0], max_iters=0) == ([0.0, 2.0], 0)
+    with pytest.raises(ConvergenceError, match="after 0 sweeps"):
+        value_iteration(mdp, max_iters=0)
 
 
 def test_policy_evaluation_hand_values():
@@ -527,3 +545,116 @@ def test_chain_classification_needs_no_recursion():
     transitions.append([[(1.0, n - 1, 1.0)]])
     mdp = FiniteMDP(1.0, transitions)
     assert policy_evaluation(mdp, [0] * n) == [0.0] + [math.inf] * (n - 1)
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def test_policy_operator_reads_the_kernel_bit_for_bit():
+    for case, (mdp, values) in enumerate(kernel_cases()):
+        q = q_table_oracle(mdp, values)
+        for policy in admissible_policies(mdp, case):
+            expected = [0.0] + [q[x, policy[x]] for x in range(1, mdp.n_states)]
+            assert hexes(policy_operator(mdp, policy, values)) == hexes(expected)
+            # the termination state's entry of the policy is never read
+            unread = [None] + policy[1:]
+            assert hexes(policy_operator(mdp, unread, values)) == hexes(expected)
+
+
+def test_value_tables_name_their_first_bad_entry():
+    mdp = random_mdp(3, discount=0.9, n_states=300)
+    good = random_values(4, mdp, 10.0)
+    inf, nan = math.inf, math.nan
+    for entries, named in (
+        ({299: nan}, 299),  # late NaN: the minimum alone would miss it
+        ({150: -inf}, 150),
+        ({7: -1.0, 200: nan}, 7),
+        ({3: nan, 9: -2.0}, 3),
+        ({5: inf, 6: -inf}, 6),  # the sum is NaN, the minimum -inf
+    ):
+        values = list(good)
+        for x, v in entries.items():
+            values[x] = v
+        with pytest.raises(ValueError) as err:
+            bellman_operator(mdp, values)
+        assert str(err.value) == (
+            f"values[{named}]: entries are nonnegative reals, got {values[named]!r}"
+        )
+    # -0.0 and inf are nonnegative reals
+    values = list(good)
+    values[0], values[5], values[9] = -0.0, -0.0, inf
+    q = q_table_oracle(mdp, values)
+    minima = [min(q[x, u] for u in cs) for x, cs in enumerate(mdp.controls)]
+    assert hexes(bellman_operator(mdp, values)) == hexes([0.0] + minima[1:])
+
+
+def vi_outcome(mdp, start, tol, max_iters):
+    try:
+        values, sweeps = value_iteration(mdp, start, tol=tol, max_iters=max_iters)
+    except ConvergenceError as err:
+        return None, err.residual.hex()
+    return hexes(values), sweeps
+
+
+def vi_oracle_outcome(mdp, start, tol, max_iters):
+    values, sweeps = value_iteration_oracle(mdp, start, tol, max_iters)
+    if values is None:
+        return None, sweeps.hex()
+    return hexes(values), sweeps
+
+
+def test_value_iteration_matches_the_oracle_bit_for_bit():
+    cases = [(random_mdp(seed, 0.99, n_states=300), None, 1e-12, 100_000) for seed in (1, 2)]
+    for seed in range(60):
+        for alpha in (0.5, 0.9):
+            mdp = random_mdp(seed, alpha)
+            start = random_values(seed + 1, mdp, 40.0)
+            cases.append((mdp, None, 1e-12, 100_000))
+            cases.append((mdp, [v if x % 3 else (0.0 if x == 0 else math.inf)
+                                for x, v in enumerate(start)], 1e-10, 100_000))
+            cases.append((mdp, start, 1e-3, 4))
+        mdp = random_mdp(seed, 1.0, reach_termination=True)
+        cases.append((mdp, None, 1e-12, 2000))
+        cases.append((mdp, [0.0] + [math.inf] * (mdp.n_states - 1), 1e-12, 2000))
+    ran_out = 0
+    for mdp, start, tol, max_iters in cases:
+        start = zero_values(mdp) if start is None else start
+        got = vi_outcome(mdp, start, tol, max_iters)
+        assert got == vi_oracle_outcome(mdp, start, tol, max_iters)
+        ran_out += got[0] is None
+    assert 0 < ran_out < len(cases)
+
+
+def free_loops_mdp(seed, n_states):
+    """random_mdp without discounting, every cost at every third state
+    zeroed, so random policies close cost-free recurrent classes."""
+    base = random_mdp(seed, 1.0, n_states=n_states)
+    return FiniteMDP(1.0, [
+        [[(p, nxt, 0.0 if x % 3 == 1 else cost) for p, nxt, cost in dist] for dist in per_state]
+        for x, per_state in enumerate(base.transitions)
+    ])
+
+
+def test_policy_evaluation_matches_the_oracle_bit_for_bit():
+    cases = []
+    for seed in (1, 2):
+        mdp = random_mdp(seed, 0.99, n_states=300)
+        cases += [(mdp, random_policy(seed + k, mdp)) for k in (3, 4)]
+    for seed in range(60):
+        for alpha in (0.5, 0.9):
+            mdp = random_mdp(seed, alpha, n_states=(None, 20)[seed % 2])
+            cases += [(mdp, random_policy(seed + 3, mdp)), (mdp, [c[-1] for c in mdp.controls])]
+        mdp = random_mdp(seed, 1.0, reach_termination=True)
+        cases += [(mdp, [c[0] for c in mdp.controls]), (mdp, random_policy(seed + 5, mdp))]
+        mdp = free_loops_mdp(seed, (8, 12, 40)[seed % 3])
+        cases += [(mdp, random_policy(seed + 7, mdp)), (mdp, [c[0] for c in mdp.controls])]
+    infinite = free = 0
+    for mdp, policy in cases:
+        values = policy_evaluation(mdp, policy)
+        assert hexes(values) == hexes(policy_evaluation_oracle(mdp, policy))
+        if mdp.discount == 1.0:
+            recurrent, _ = chain_classes_oracle(mdp, policy)
+            infinite += math.inf in values
+            free += any(values[x] == 0.0 for x in recurrent - {0})
+    assert infinite > 0 and free > 0

@@ -204,3 +204,57 @@ def chain_classes_oracle(mdp, policy):
     }
     infinite = {x for x in range(n) if reach[x] & paying}
     return recurrent, infinite
+
+
+def value_iteration_oracle(mdp, values0, tol, max_iters):
+    """Value iteration by per-state minima over q_table_oracle, entry 0
+    pinned.  Returns (values, sweeps) like value_iteration, or
+    (None, residual) when max_iters sweeps leave the residual above tol.
+    The residual is the largest |swept - values| over unequal entries, so
+    matching infinities are skipped."""
+    values = list(values0)
+    for k in range(max_iters + 1):
+        q = q_table_oracle(mdp, values)
+        swept = [0.0] + [
+            min(q[x, u] for u in mdp.controls[x]) for x in range(1, mdp.n_states)
+        ]
+        residual = max((abs(a - b) for a, b in zip(swept, values) if a != b), default=0.0)
+        if residual <= tol:
+            return values, k
+        values = swept
+    return None, residual
+
+
+def policy_evaluation_oracle(mdp, policy):
+    """A policy's exact cost from a linear system built one state at a time.
+
+    Without discounting, chain_classes_oracle's infinite states read inf and
+    its other recurrent states 0; the rest are solved for.  Each row starts
+    from the identity and takes its outcomes in order: rhs gains p * cost,
+    and the successor's column, if solved for, loses alpha * p."""
+    import numpy as np
+
+    n = mdp.n_states
+    dists = [mdp.transitions[x][mdp.controls[x].index(policy[x])] for x in range(n)]
+    values = [0.0] * n
+    if mdp.discount < 1.0:
+        unknown = list(range(1, n))
+    else:
+        recurrent, infinite = chain_classes_oracle(mdp, policy)
+        for x in infinite:
+            values[x] = math.inf
+        unknown = [x for x in range(1, n) if x not in recurrent | infinite]
+        if not unknown:
+            return values
+    index = {x: i for i, x in enumerate(unknown)}
+    A = np.eye(len(unknown))
+    rhs = np.zeros(len(unknown))
+    for x in unknown:
+        i = index[x]
+        for p, nxt, cost in dists[x]:
+            rhs[i] += p * cost
+            if nxt in index:
+                A[i, index[nxt]] -= mdp.discount * p
+    for x, v in zip(unknown, np.linalg.solve(A, rhs)):
+        values[x] = float(v)
+    return values
