@@ -146,8 +146,7 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
             if branches is None:
                 controls = mdp.controls[x] if k < depth else (spec.base[x],)
                 if expand:
-                    dists = mdp.transitions[x] if k < depth else (mdp.outcomes(x, controls[0]),)
-                    branches = list(zip(controls, dists))
+                    branches = [(u, mdp.outcomes(x, u)) for u in controls]
                 else:
                     outs = [nominal_outcome(mdp, x, u, spec.nominal) for u in controls]
                     branches = [(u, ((1.0, o.next, o.cost),)) for u, o in zip(controls, outs)]

@@ -28,7 +28,7 @@ from dpnewton.mdp import (
     value_iteration,
     zero_values,
 )
-from dpnewton.mdp import _closed_loop, _reaching, _recurrent_states
+from dpnewton.mdp import _reaching, _recurrent_states
 from util import (
     chain_classes_oracle,
     greedy_oracle,
@@ -528,7 +528,7 @@ def test_chain_classes_match_the_per_state_search():
         mdp = random_mdp(seed, discount=1.0, n_states=(None, 12, 40)[seed % 3])
         policy = random_policy(seed + 7, mdp)
         recurrent, infinite = chain_classes_oracle(mdp, policy)
-        edges = _closed_loop(mdp, policy)
+        edges = [mdp.outcomes(x, policy[x]) for x in range(mdp.n_states)]
         assert _recurrent_states(edges) == recurrent
         paying = [x for x in recurrent if any(o.cost > 0.0 for o in edges[x])]
         assert _reaching(edges, paying) == infinite
