@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import adaptive, formats, generators, lq, mdp
-from .errors import ConvergenceError, check_budget
+from .errors import ConvergenceError
 from .formats import parse_real
 from .lookahead import CE_MODES, LookaheadSpec, lookahead_policy
 
@@ -40,25 +40,31 @@ def _count(raw) -> int:
     return int(raw)
 
 
+def _natural(raw) -> int:
+    count = _count(raw)
+    if count < 0:
+        raise ValueError(f"expected a nonnegative integer, got {raw!r}")
+    return count
+
+
+def _items(raw) -> list:
+    """A JSON list as it stands, or the parts of a comma-separated string."""
+    return raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+
+
 def _reals(raw) -> list[float]:
-    if isinstance(raw, (list, tuple)):
-        return [parse_real(v) for v in raw]
-    return [parse_real(part) for part in str(raw).split(",")]
+    return [parse_real(v) for v in _items(raw)]
 
 
 def _counts(raw) -> list[int]:
-    if isinstance(raw, (list, tuple)):
-        return [_count(v) for v in raw]
-    return [_count(part) for part in str(raw).split(",")]
+    return [_count(v) for v in _items(raw)]
 
 
 def _grid(raw) -> list[float]:
     """Either `lo:hi:step` (inclusive endpoints) or a comma list of values."""
-    if isinstance(raw, (list, tuple)):
-        return [parse_real(v) for v in raw]
+    if isinstance(raw, (list, tuple)) or ":" not in str(raw):
+        return _reals(raw)
     text = str(raw)
-    if ":" not in text:
-        return [parse_real(part) for part in text.split(",")]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
@@ -73,19 +79,16 @@ def _grid(raw) -> list[float]:
 
 
 def _schedule(raw) -> list[tuple[int, float, float]]:
-    """Comma-separated `time:b:r` triples."""
-    if isinstance(raw, (list, tuple)):
-        entries = []
-        for item in raw:
-            time, b, r = item
-            entries.append((_count(time), parse_real(b), parse_real(r)))
-        return entries
+    """Comma-separated `time:b:r` triples, or a list of [time, b, r]."""
     entries = []
-    for part in str(raw).split(","):
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise ValueError(f"schedule entry must be time:b:r, got {part!r}")
-        entries.append((_count(bits[0]), parse_real(bits[1]), parse_real(bits[2])))
+    for item in _items(raw):
+        if not isinstance(raw, (list, tuple)):
+            bits = item.split(":")
+            if len(bits) != 3:
+                raise ValueError(f"schedule entry must be time:b:r, got {item!r}")
+            item = bits
+        time, b, r = item
+        entries.append((_count(time), parse_real(b), parse_real(r)))
     return entries
 
 
@@ -138,32 +141,24 @@ def _settle(args) -> dict:
     return values
 
 
-def _out_path(args, filename):
+def _emit(args, filename, write) -> None:
+    """Hand `write` the standard output, or the file `filename` under --out."""
     if args.out is None:
-        return None
+        write(sys.stdout)
+        return
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
-    return directory / filename
+    path = directory / filename
+    write(path)
+    print(f"wrote {path}")
 
 
 def _emit_csv(args, filename, header, rows):
-    path = _out_path(args, filename)
-    if path is None:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(formats._cell(v) for v in row) + "\n")
-    else:
-        formats.write_csv(path, header, rows)
-        print(f"wrote {path}")
+    _emit(args, filename, lambda out: formats.write_csv(out, header, rows))
 
 
 def _emit_json(args, filename, payload):
-    path = _out_path(args, filename)
-    if path is None:
-        print(json.dumps(formats._jsonable(payload), indent=2, sort_keys=True))
-    else:
-        formats.dump_json(payload, path)
-        print(f"wrote {path}")
+    _emit(args, filename, lambda out: formats.dump_json(payload, out))
 
 
 _PROBLEM_OPTS = [
@@ -178,8 +173,7 @@ def _problem(values) -> lq.ScalarLQProblem:
     return lq.ScalarLQProblem(values["a"], values["b"], values["q"], values["r"])
 
 
-def _cmd_riccati_solve(args) -> int:
-    values = _settle(args)
+def _cmd_riccati_solve(args, values) -> int:
     p = _problem(values)
     k_opt = lq.solve_riccati(p, tol=values["tol"])
     gain = lq.greedy_gain(p, k_opt)
@@ -190,36 +184,18 @@ def _cmd_riccati_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_riccati_vi(args) -> int:
-    values = _settle(args)
-    p = _problem(values)
-    k = values["start"]
-    tol = values["tol"]
-    check_budget(tol, values["max_iters"])
-    rows = [(0, k)]
-    for sweep in range(1, values["max_iters"] + 1):
-        nxt = lq.riccati_operator(p, k)
-        rows.append((sweep, nxt))
-        if abs(nxt - k) <= tol * max(1.0, abs(nxt)):
-            k = nxt
-            break
-        k = nxt
-    else:
-        # with no sweep allowed, the residual is the step a first sweep takes
-        last = rows[-2][1] if len(rows) > 1 else lq.riccati_operator(p, k)
-        raise ConvergenceError(
-            f"value iteration still moving after {values['max_iters']} sweeps",
-            residual=abs(k - last),
-        )
-    print(f"K={k!r}")
-    print(f"sweeps={rows[-1][0]}")
+def _cmd_riccati_vi(args, values) -> int:
+    iterates = lq.value_iteration(
+        _problem(values), values["start"], values["tol"], values["max_iters"]
+    )
+    print(f"K={iterates[-1]!r}")
+    print(f"sweeps={len(iterates) - 1}")
     if args.out is not None:
-        _emit_csv(args, "vi_iterates.csv", ["step", "K"], rows)
+        _emit_csv(args, "vi_iterates.csv", ["step", "K"], enumerate(iterates))
     return EXIT_OK
 
 
-def _cmd_riccati_pi(args) -> int:
-    values = _settle(args)
+def _cmd_riccati_pi(args, values) -> int:
     p = _problem(values)
     start = lq.LinearGain.from_gain(p, values["start_gain"])
     iterates = lq.policy_iteration(p, start, tol=values["tol"], max_iters=values["max_iters"])
@@ -231,8 +207,7 @@ def _cmd_riccati_pi(args) -> int:
     return EXIT_OK
 
 
-def _cmd_riccati_newton(args) -> int:
-    values = _settle(args)
+def _cmd_riccati_newton(args, values) -> int:
     p = _problem(values)
     k = values["start"]
     rows = []
@@ -246,30 +221,23 @@ def _cmd_riccati_newton(args) -> int:
     return EXIT_OK
 
 
-def _cmd_riccati_sweep_stability(args) -> int:
-    values = _settle(args)
+def _cmd_riccati_sweep_stability(args, values) -> int:
     region = lq.stability_region(_problem(values))
     print(f"threshold={region.threshold!r}")
     print(f"open={'true' if region.open else 'false'}")
     return EXIT_OK
 
 
-def _load_mdp_arg(values) -> mdp.FiniteMDP:
-    return formats.load_mdp(values["file"])
-
-
-def _cmd_mdp_solve(args) -> int:
-    values = _settle(args)
-    model = _load_mdp_arg(values)
+def _cmd_mdp_solve(args, values) -> int:
+    model = formats.load_mdp(values["file"])
     solution, sweeps = mdp.value_iteration(model, tol=values["tol"], max_iters=values["max_iters"])
     policy = mdp.greedy_policy(model, solution)
     _emit_json(args, "solution.json", {"values": solution, "policy": policy, "sweeps": sweeps})
     return EXIT_OK
 
 
-def _cmd_mdp_rollout(args) -> int:
-    values = _settle(args)
-    model = _load_mdp_arg(values)
+def _cmd_mdp_rollout(args, values) -> int:
+    model = formats.load_mdp(values["file"])
     base = values["base"]
     improved = mdp.rollout_policy(model, base, horizon=values["steps"])
     payload = {"policy": improved, "values": mdp.policy_evaluation(model, improved)}
@@ -277,9 +245,8 @@ def _cmd_mdp_rollout(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mdp_lookahead(args) -> int:
-    values = _settle(args)
-    model = _load_mdp_arg(values)
+def _cmd_mdp_lookahead(args, values) -> int:
+    model = formats.load_mdp(values["file"])
     terminal = values["terminal"]
     if terminal is None:
         terminal = mdp.zero_values(model)
@@ -308,34 +275,26 @@ def _cmd_mdp_lookahead(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mdp_lyapunov(args) -> int:
-    values = _settle(args)
-    model = _load_mdp_arg(values)
+def _cmd_mdp_lyapunov(args, values) -> int:
+    model = formats.load_mdp(values["file"])
     ok, violations = mdp.lyapunov_check(model, values["values"])
     print(f"ok={'true' if ok else 'false'}")
     print("violations=" + ",".join(str(x) for x in violations))
     return EXIT_OK
 
 
-def _cmd_mdp_random(args) -> int:
-    values = _settle(args)
+def _cmd_mdp_random(args, values) -> int:
     model = generators.random_mdp(
         values["seed"],
         discount=values["discount"],
         n_states=values["states"],
         reach_termination=bool(values["reach_termination"]),
     )
-    path = _out_path(args, "mdp.json")
-    if path is None:
-        print(json.dumps(formats.mdp_document(model), indent=2))
-    else:
-        formats.save_mdp(model, path)
-        print(f"wrote {path}")
+    _emit(args, "mdp.json", lambda out: formats.save_mdp(model, out))
     return EXIT_OK
 
 
-def _cmd_adaptive_sweep(args) -> int:
-    values = _settle(args)
+def _cmd_adaptive_sweep(args, values) -> int:
     nominal = _problem(values)
     design = adaptive.NominalDesign.for_problem(nominal)
     grid_b, grid_r = values["grid_b"], values["grid_r"]
@@ -363,8 +322,7 @@ def _cmd_adaptive_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_adaptive_replan(args) -> int:
-    values = _settle(args)
+def _cmd_adaptive_replan(args, values) -> int:
     if values["mode"] != "all" and values["mode"] not in adaptive.MODES:
         raise ValueError(f"mode: must be one of {adaptive.MODES + ('all',)}")
     design = adaptive.NominalDesign.for_problem(_problem(values))
@@ -389,8 +347,7 @@ def _cmd_adaptive_replan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_adaptive_ratio(args) -> int:
-    values = _settle(args)
+def _cmd_adaptive_ratio(args, values) -> int:
     problem = _problem(values)
     grid = None
     if values["halvings"] is not None:
@@ -432,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     ], _cmd_riccati_pi, help="policy iteration table")
     _add_command(ric_sub, "newton", _PROBLEM_OPTS + [
         _Opt("start", parse_real, required=True, help="initial coefficient"),
-        _Opt("steps", _count, default=1),
+        _Opt("steps", _natural, default=1),
     ], _cmd_riccati_newton, help="greedy-step iterates")
     _add_command(ric_sub, "sweep-stability", _PROBLEM_OPTS,
                  _cmd_riccati_sweep_stability, help="stability region of the greedy step")
@@ -483,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         _Opt("mode", str, default="all", help="|".join(adaptive.MODES + ("all",))),
     ], _cmd_adaptive_replan, help="closed-loop simulation under a parameter schedule")
     _add_command(ada_sub, "ratio", _PROBLEM_OPTS + [
-        _Opt("halvings", _count, default=None, help="geometric grid size (default 20)"),
+        _Opt("halvings", _natural, default=None, help="geometric grid size (default 20)"),
     ], _cmd_adaptive_ratio, help="contraction ratios near the fixed point")
     return parser
 
@@ -492,7 +449,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, _settle(args))
     except ConvergenceError as err:
         print(f"did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,9 +56,18 @@ def _cell(v) -> str:
     raise TypeError(f"cannot format {type(v).__name__} cell {v!r}")
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with a mandatory header row and fixed \\n line endings."""
-    with open(path, "w", newline="") as fh:
+def _open(target, mode: str):
+    """A text stream for a path (opened here, with no newline translation),
+    or the already open stream that `target` is."""
+    if isinstance(target, (str, Path)):
+        return open(target, mode, newline="")
+    return nullcontext(target)
+
+
+def write_csv(target, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CSV with a mandatory header row and fixed \\n line endings, written to a
+    path or an open text stream."""
+    with _open(target, "w") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         for row in rows:
@@ -74,9 +84,10 @@ def _jsonable(obj):
     return obj
 
 
-def dump_json(obj, path) -> None:
-    """Canonical JSON result file: sorted keys, infinities as "inf"."""
-    with open(path, "w", newline="") as fh:
+def dump_json(obj, target) -> None:
+    """Canonical JSON result, to a path or an open text stream: sorted keys,
+    infinities as "inf"."""
+    with _open(target, "w") as fh:
         json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -97,8 +108,9 @@ def mdp_document(mdp: FiniteMDP) -> dict:
     }
 
 
-def save_mdp(mdp: FiniteMDP, path) -> None:
-    with open(path, "w", newline="") as fh:
+def save_mdp(mdp: FiniteMDP, target) -> None:
+    """The interchange document, to a path or an open text stream."""
+    with _open(target, "w") as fh:
         json.dump(mdp_document(mdp), fh, indent=2)
         fh.write("\n")
 
@@ -126,13 +138,13 @@ def load_mdp(source) -> FiniteMDP:
     names the offending field, e.g. "transitions[1][0][2].p".  `source` is a
     path or anything json.load accepts via read().
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(source)
+    with _open(source, "r") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise MDPValidationError("$", "the document must be a JSON object")
+    unknown = set(doc) - {"states", "alpha", "controls", "transitions"}
+    if unknown:
+        raise MDPValidationError(sorted(unknown)[0], "unknown field")
 
     n = _require(doc, "states", int, "states")
     if isinstance(doc["states"], bool) or n < 1:

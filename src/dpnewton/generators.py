@@ -24,12 +24,14 @@ def random_mdp(
     With reach_termination, the first control of every nonterminal state
     routes one outcome to the termination state, so the all-zeros policy
     terminates with probability one (a stable base even without
-    discounting).
+    discounting).  An n_states below 1 raises ValueError.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9)) if n_states is None else int(n_states)
+    if n < 1:
+        raise ValueError(f"n_states must be at least 1, got {n}")
     transitions: list[list[list[tuple[float, int, float]]]] = [[[(1.0, 0, 0.0)]]]
     for _x in range(1, n):
         n_controls = int(rng.integers(2, 5))

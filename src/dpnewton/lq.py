@@ -42,7 +42,7 @@ __all__ = [
     "solve_riccati",
     "greedy_gain",
     "policy_cost",
-    "value_iterate",
+    "value_iteration",
     "newton_step",
     "lookahead_step",
     "stability_region",
@@ -299,19 +299,28 @@ def policy_cost(problem: ScalarLQProblem, gain: LinearGain) -> float:
     return cost
 
 
-def value_iterate(problem: ScalarLQProblem, K0: float, steps: int) -> list[float]:
-    """Iterates [K0, F(K0), ..., F^steps(K0)].
+def value_iteration(
+    problem: ScalarLQProblem, K0: float = 0.0, tol: float = 1e-12, max_iters: int = 100_000
+) -> list[float]:
+    """Iterates [K0, F(K0), F^2(K0), ...] up to the first sweep that moves K
+    by at most tol * max(1, |F(K)|); that sweep is included.
 
-    The sequence is monotone (direction set by the sign of K0 - K*) and
-    converges to the fixed point at the geometric rate F'(K*).
+    K0 = +inf is accepted.  The sequence is monotone (direction set by the
+    sign of K0 - K*) and converges to the fixed point at the geometric rate
+    F'(K*).  Running out of sweeps raises ConvergenceError whose residual is
+    the last step taken, or |F(K0) - K0| when max_iters is 0.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    K = _check_finite_coefficient(K0)
-    out = [K]
-    for _ in range(steps):
-        out.append(riccati_operator(problem, out[-1]))
-    return out
+    check_budget(tol, max_iters)
+    out = [_check_coefficient(K0)]
+    for _ in range(max_iters):
+        K = riccati_operator(problem, out[-1])
+        out.append(K)
+        if abs(K - out[-2]) <= tol * max(1.0, abs(K)):
+            return out
+    last = out[-2] if len(out) > 1 else riccati_operator(problem, out[0])
+    raise ConvergenceError(
+        f"value iteration still moving after {max_iters} sweeps", abs(out[-1] - last)
+    )
 
 
 def newton_step(problem: ScalarLQProblem, K: float) -> NewtonStepResult:
@@ -368,12 +377,19 @@ def stability_region(problem: ScalarLQProblem) -> StabilityRegion:
     The greedy closed loop is a r / (r + b^2 K), so |a| < 1 makes every
     K >= 0 safe, while |a| >= 1 requires K strictly above
     K_S = r (|a| - 1) / b^2 (the point where F'(K_S) = 1; the boundary
-    itself has closed loop on the unit circle and is excluded).
+    itself has closed loop on the unit circle and is excluded).  A b*b or
+    K_S outside the double range raises a ValueError naming it.
     """
     p = problem
     if abs(p.a) < 1.0:
         return StabilityRegion(0.0, False)
-    return StabilityRegion(max(0.0, p.r * (abs(p.a) - 1.0) / (p.b * p.b)), True)
+    A = p.b * p.b
+    if not _MIN_NORMAL <= A < math.inf:
+        raise _out_of_range("b*b", p)
+    threshold = p.r * (abs(p.a) - 1.0) / A
+    if not math.isfinite(threshold):
+        raise _out_of_range("the threshold K_S", p)
+    return StabilityRegion(max(0.0, threshold), True)
 
 
 def rollout(problem: ScalarLQProblem, base: LinearGain) -> NewtonStepResult:

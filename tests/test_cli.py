@@ -11,6 +11,7 @@ import pytest
 from dpnewton import cli
 from dpnewton.cli import main
 from dpnewton.formats import load_mdp, save_mdp
+from dpnewton.generators import random_mdp
 from dpnewton.lookahead import LookaheadSpec, lookahead_policy
 from dpnewton.mdp import bellman_operator, zero_values
 
@@ -88,6 +89,44 @@ def test_stability_region_report(capsys):
     assert capsys.readouterr().out == "threshold=1.0\nopen=true\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a", "2", "--b", "1e-200", "--q", "1", "--r", "1"],
+    ["--a", "1e308", "--b", "1e-308", "--q", "1", "--r", "1"],
+    ["--a", "2", "--b", "1e-160", "--q", "1", "--r", "1"],
+])
+def test_stability_region_out_of_range_is_a_validation_error(argv, capsys):
+    assert main(["riccati", "sweep-stability", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: b*b leaves the double range at a=")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["riccati", "newton", *NOMINAL_FLAGS, "--start", "1", "--steps", "-1"], "steps"),
+    (["adaptive", "ratio", *NOMINAL_FLAGS, "--halvings", "-2"], "halvings"),
+])
+def test_negative_counts_are_validation_errors(argv, named, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation error: {named}: expected a nonnegative integer, got '{argv[-1]}'\n"
+    )
+
+
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_mdp_random_needs_a_state(states, tmp_path, capsys):
+    with pytest.raises(ValueError, match="^n_states must be at least 1"):
+        random_mdp(1, n_states=int(states))
+    assert main(["mdp", "random", "--seed", "1", "--states", states,
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: n_states must be at least 1, got {states}\n"
+    )
+    assert not (tmp_path / "mdp.json").exists()
+
+
 def test_mdp_solve_round_trip(tmp_path, capsys):
     path = tmp_path / "two_state.json"
     save_mdp(two_state_mdp(), path)
@@ -143,7 +182,7 @@ def test_deep_lookahead_equals_one_step_against_swept_terminal(tmp_path, capsys)
 
 
 def test_unexpected_error_is_reported_on_one_line(monkeypatch, capsys):
-    def boom(args):
+    def boom(args, values):
         raise RuntimeError("boom\nsecond line")
 
     monkeypatch.setattr(cli, "_cmd_riccati_solve", boom)
@@ -154,7 +193,7 @@ def test_unexpected_error_is_reported_on_one_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
     # arithmetic faults are defects too, not non-convergence
-    def divide(args):
+    def divide(args, values):
         return 1 / 0
 
     monkeypatch.setattr(cli, "_cmd_riccati_solve", divide)
@@ -370,3 +409,30 @@ def test_golden_files_regenerate_bit_identically(name, tmp_path, capsys):
     assert main(GOLDEN_COMMANDS[name] + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert (tmp_path / name).read_bytes() == frozen
+
+
+# Each command writes one table or document, to stdout or to --out.
+ONE_ARTIFACT = {
+    "pi_iterates.csv": ["riccati", "pi", *NOMINAL_FLAGS, "--start-gain", "-0.5"],
+    "newton_iterates.csv": ["riccati", "newton", *NOMINAL_FLAGS, "--start", "0.01",
+                            "--steps", "4"],
+    "solution.json": ["mdp", "solve", "--file", "MODEL"],
+    "rollout.json": ["mdp", "rollout", "--file", "MODEL", "--base", "0,1"],
+    "mdp.json": ["mdp", "random", "--seed", "11", "--states", "12"],
+    "sweep.csv": ["adaptive", "sweep", *NOMINAL_FLAGS],
+    "ratios.csv": ["adaptive", "ratio", *NOMINAL_FLAGS, "--halvings", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ARTIFACT))
+def test_stdout_matches_the_out_file(name, tmp_path, capsys):
+    model = tmp_path / "two_state.json"
+    save_mdp(two_state_mdp(), model)
+    argv = [str(model) if arg == "MODEL" else arg for arg in ONE_ARTIFACT[name]]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote {out_dir / name}\n"
+    assert printed == (out_dir / name).read_bytes()
+    assert printed.endswith(b"\n") and len(printed.splitlines()) > 1

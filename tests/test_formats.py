@@ -119,6 +119,7 @@ def test_loader_reports_first_violation_with_path():
         (mutated(alpha=1.5), "alpha"),
         (mutated(transitions=[[]]), "transitions"),
         (mutated(controls=3), "controls"),
+        (mutated(bogus=1), "bogus"),
     ]
     for text, path in cases:
         with pytest.raises(MDPValidationError) as err:

@@ -7,6 +7,7 @@ oracles and frozen here.
 """
 
 import math
+import re
 
 import pytest
 
@@ -25,7 +26,7 @@ from dpnewton.lq import (
     rollout,
     solve_riccati,
     stability_region,
-    value_iterate,
+    value_iteration,
 )
 from util import lq_exact_residual_oracle, lq_newton_oracle, lq_policy_cost_oracle
 
@@ -180,24 +181,46 @@ def test_policy_cost_values():
 
 
 def test_value_iterate_prefix():
-    seq = value_iterate(NOMINAL, 0.0, 3)
+    seq = value_iteration(NOMINAL, 0.0)[:4]
     assert seq[0] == 0.0
     assert seq[1] == 1.0
     assert seq[2] == pytest.approx(1.1111111111111112, rel=1e-15)
     assert seq[3] == pytest.approx(1.1123595505617978, rel=1e-15)
     # one sweep of the a = 0 problem lands on q immediately
-    flat = value_iterate(ScalarLQProblem(0.0, 1.0, 3.0, 1.0), 7.0, 1)
+    flat = value_iteration(ScalarLQProblem(0.0, 1.0, 3.0, 1.0), 7.0)[:2]
     assert flat == [7.0, 3.0]
 
 
 def test_value_iterate_monotone_both_sides():
-    up = value_iterate(NOMINAL, 0.0, 50)
-    down = value_iterate(NOMINAL, 10.0, 50)
+    up = value_iteration(NOMINAL, 0.0)[:51]
+    down = value_iteration(NOMINAL, 10.0)[:51]
     slack = 4e-16 * max(1.0, NOMINAL_K)
     assert all(b >= a - slack for a, b in zip(up, up[1:]))
     assert all(b <= a + slack for a, b in zip(down, down[1:]))
     assert up[-1] == pytest.approx(NOMINAL_K, abs=1e-12)
     assert down[-1] == pytest.approx(NOMINAL_K, abs=1e-12)
+
+
+def test_value_iteration_stopping_rule_and_budget():
+    # the sweep that moves K by at most tol * max(1, |F(K)|) ends the run
+    # and is counted
+    assert value_iteration(ScalarLQProblem(0.0, 1.0, 3.0, 1.0), 7.0) == [7.0, 3.0, 3.0]
+    from_inf = value_iteration(NOMINAL, math.inf)
+    assert from_inf[:2] == [math.inf, riccati_operator(NOMINAL, math.inf)]
+    assert from_inf[-1] == pytest.approx(NOMINAL_K, rel=1e-12)
+    # out of sweeps: the residual is the last step, or |F(K0) - K0| with none
+    for max_iters, residual in ((0, 1.0), (1, 1.0), (2, 1.0 / 9.0)):
+        with pytest.raises(ConvergenceError) as err:
+            value_iteration(NOMINAL, 0.0, tol=0.0, max_iters=max_iters)
+        assert err.value.residual == pytest.approx(residual, rel=1e-15)
+        assert str(err.value).startswith(
+            f"value iteration still moving after {max_iters} sweeps (residual "
+        )
+    # the budget is checked before the start value
+    with pytest.raises(ValueError, match="^tol must be"):
+        value_iteration(NOMINAL, -1.0, tol=-1.0)
+    with pytest.raises(ValueError, match="^quadratic coefficient must be nonnegative"):
+        value_iteration(NOMINAL, -1.0, max_iters=0)
 
 
 def test_newton_step_examples():
@@ -260,6 +283,17 @@ def test_stability_region_examples():
     assert not region.contains(0.0)
     assert newton_step(NOMINAL, 0.0).cost == math.inf
     assert math.isfinite(newton_step(NOMINAL, 1e-6).cost)
+
+
+def test_stability_region_out_of_the_double_range_names_the_quantity():
+    for a, b, r, named in (
+        (2.0, 1e-200, 1.0, "b*b"),      # b*b underflows to zero
+        (1e308, 1e-308, 1.0, "b*b"),
+        (2.0, 1e-160, 1.0, "b*b"),      # subnormal b*b: the threshold read inf
+        (1e300, 1.0, 1e300, "the threshold K_S"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} leaves the double range"):
+            stability_region(ScalarLQProblem(a, b, 1.0, r))
 
 
 def test_rollout_examples():

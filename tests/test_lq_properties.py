@@ -19,7 +19,7 @@ from dpnewton.lq import (
     rollout,
     solve_riccati,
     stability_region,
-    value_iterate,
+    value_iteration,
 )
 from util import lq_exact_residual_oracle, lq_newton_oracle
 
@@ -119,7 +119,7 @@ def test_value_iteration_converges_on_declared_set():
         K_opt = solve_riccati(p)
         assert riccati_derivative(p, K_opt) < 0.9
         for K0 in (0.0, K_opt / 3.0, 10.0 * K_opt):
-            seq = value_iterate(p, K0, 200)
+            seq = value_iteration(p, K0)[:201]
             assert abs(seq[-1] - K_opt) <= 1e-10
             slack = 4e-15 * max(1.0, K_opt)
             if K0 <= K_opt:
