@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .mdp import FiniteMDP, Outcome, _check_values
+from .mdp import FiniteMDP, Outcome, _check_entries
 
 __all__ = [
     "CE_MODES",
@@ -57,6 +57,12 @@ class LookaheadSpec:
     modes.  `nominal` optionally overrides the default most-probable nominal
     outcome with a chosen outcome index per (state, control).  Ties in the
     minimization always go to the lowest control id.
+
+    `terminal` and `base` are stored as tuples, so later changes to the
+    caller's lists do not reach the spec, and the terminal entries are
+    checked here once (entry 0 pinned to 0, every entry a nonnegative
+    real).  What needs the model, the table lengths and the base controls'
+    admissibility, is checked by lookahead_policy.
     """
 
     depth: int
@@ -77,6 +83,10 @@ class LookaheadSpec:
             raise ValueError("rollout_steps > 0 requires a base policy")
         if self.ce_mode not in CE_MODES:
             raise ValueError(f"ce_mode must be one of {CE_MODES}, got {self.ce_mode!r}")
+        object.__setattr__(self, "terminal", tuple(self.terminal))
+        if self.base is not None:
+            object.__setattr__(self, "base", tuple(self.base))
+        _check_entries(self.terminal, "terminal")
 
 
 def nominal_outcome(
@@ -115,7 +125,10 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
     rollout the choice coincides, bit for bit, with the greedy policy
     against `spec.terminal` in the "exact" and "ce_after_first" modes.
     """
-    _check_values(mdp, spec.terminal, "terminal")
+    if len(spec.terminal) != mdp.n_states:
+        raise ValueError(
+            f"terminal: expected {mdp.n_states} entries, got {len(spec.terminal)}"
+        )
     if not 1 <= state < mdp.n_states:
         raise ValueError(f"state must be nonterminal (1..{mdp.n_states - 1}), got {state}")
     if spec.base is not None:

@@ -308,14 +308,21 @@ def value_iteration(
     K0 = +inf is accepted.  The sequence is monotone (direction set by the
     sign of K0 - K*) and converges to the fixed point at the geometric rate
     F'(K*).  Running out of sweeps raises ConvergenceError whose residual is
-    the last step taken, or |F(K0) - K0| when max_iters is 0.
+    the last step taken, or |F(K0) - K0| when max_iters is 0.  A sweep whose
+    step is NaN has left the double range (0*inf or inf - inf inside F) and
+    raises the ValueError that solve_riccati gives for the problem, or one
+    naming F(K) if solve_riccati stays in range.
     """
     check_budget(tol, max_iters)
     out = [_check_coefficient(K0)]
     for _ in range(max_iters):
         K = riccati_operator(problem, out[-1])
         out.append(K)
-        if abs(K - out[-2]) <= tol * max(1.0, abs(K)):
+        step = abs(K - out[-2])
+        if math.isnan(step):
+            solve_riccati(problem)  # raises the ValueError naming the quantity
+            raise _out_of_range("F(K)", problem)
+        if step <= tol * max(1.0, abs(K)):
             return out
     last = out[-2] if len(out) > 1 else riccati_operator(problem, out[0])
     raise ConvergenceError(

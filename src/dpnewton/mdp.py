@@ -205,25 +205,28 @@ class FiniteMDP:
                 + [pad] * (width - len(per_state))
                 for per_state in self.transitions
             ]
-            p, nxt, cost = np.array(rows, dtype=np.float64).transpose(3, 2, 0, 1).copy()
-            ids = np.zeros((self.n_states, width), dtype=object)  # exact ints of any size
-            start = np.full((self.n_states, width), math.inf)
+            p, nxt, cost = np.array(rows, dtype=np.float64).transpose(3, 2, 1, 0).copy()
+            ids = np.zeros((width, self.n_states), dtype=object)  # exact ints of any size
+            start = np.full((width, self.n_states), math.inf)
             for x, per_state in enumerate(self.controls):
-                ids[x, : len(per_state)] = per_state
-                start[x, : len(per_state)] = 0.0
+                ids[: len(per_state), x] = per_state
+                start[: len(per_state), x] = 0.0
             self._packed_arrays = _Packed(p, nxt.astype(np.intp), cost, ids, start)
         return self._packed_arrays
 
 
 class _Packed(NamedTuple):
-    """A model's transitions as padded arrays indexed [outcome, state, slot].
+    """A model's transitions as padded arrays indexed [outcome, slot, state];
+    `ids` and `start` are indexed [slot, state].
 
     Slot i of state x holds control controls[x][i].  Padding entries have
     p = 0, next = 0 and cost = 0, so against a value table whose entry 0 is
     0 each adds exactly 0.0 to a Q-value.  `start` is the invalid-slot mask
     in additive form: the 0.0 a Q-value sum starts from where the slot holds
     a control, +inf past a state's last control.  The outcome axis comes
-    first so that each outcome column is one contiguous (S, U) block."""
+    first so that each outcome column is one contiguous (U, S) block, and
+    the state axis comes last so that a minimum over the few slots runs
+    across whole rows of states rather than along a 2-4 wide axis."""
 
     p: np.ndarray
     next: np.ndarray
@@ -239,7 +242,14 @@ def zero_values(mdp: FiniteMDP) -> list[float]:
 def _check_values(mdp: FiniteMDP, values: Sequence[float], where: str = "values"):
     if len(values) != mdp.n_states:
         raise ValueError(f"{where}: expected {mdp.n_states} entries, got {len(values)}")
-    if values[0] != 0.0:
+    _check_entries(values, where)
+
+
+def _check_entries(values: Sequence[float], where: str):
+    """The checks of a value table that need no model: entry 0 pinned to 0
+    and every entry a nonnegative real.  An empty table passes, so that the
+    model's length check reports it."""
+    if len(values) and values[0] != 0.0:
         raise ValueError(f"{where}[0]: the termination state is pinned to 0")
     for x, v in enumerate(values):
         if not v >= 0.0:  # also true for NaN
@@ -259,13 +269,15 @@ def q_value(mdp: FiniteMDP, values: Sequence[float], state: int, control: int) -
 
 
 def _q_table(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
-    """Q-values of every (state, control slot) pair as an (S, U) array;
+    """Q-values of every (control slot, state) pair as a (U, S) array;
     slots past a state's last control read +inf.
 
     Repeats q_value's float operations one for one, so every entry equals
     q_value bit for bit: each term is p * (cost + alpha * v[next]) and the
     outcome columns are added left to right onto 0.0.  A reducing sum
-    (np.sum, np.add.reduceat) would pair the terms differently."""
+    (np.sum, np.add.reduceat) would pair the terms differently.  Every
+    entry is +0.0 or more, since the sum starts from +0.0, so a minimum
+    over slots never has to choose between zeros of opposite sign."""
     import numpy as np
 
     packed = mdp._packed
@@ -279,7 +291,7 @@ def _q_table(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
 
 def _sweep(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
     """The optimality sweep as an array, on a table already checked."""
-    out = _q_table(mdp, values).min(axis=1)
+    out = _q_table(mdp, values).min(axis=0)
     out[0] = 0.0
     return out
 
@@ -306,7 +318,7 @@ def policy_operator(
 
     _check_values(mdp, values)
     slots = _policy_slots(mdp, policy, first=1)
-    out = _q_table(mdp, values)[np.arange(mdp.n_states), slots]
+    out = _q_table(mdp, values)[slots, np.arange(mdp.n_states)]
     out[0] = 0.0
     return out.tolist()
 
@@ -318,8 +330,8 @@ def greedy_policy(mdp: FiniteMDP, values: Sequence[float]) -> list[int]:
 
     _check_values(mdp, values)
     # argmin takes the first minimal slot, and slots run in id order
-    slots = _q_table(mdp, values).argmin(axis=1)
-    return mdp._packed.ids[np.arange(mdp.n_states), slots].tolist()
+    slots = _q_table(mdp, values).argmin(axis=0)
+    return mdp._packed.ids[slots, np.arange(mdp.n_states)].tolist()
 
 
 def _improved_policy(
@@ -337,8 +349,8 @@ def _improved_policy(
     rows = np.arange(mdp.n_states)
     incumbent = np.array(_policy_slots(mdp, base), dtype=np.intp)
     q = _q_table(mdp, values)
-    chosen = np.where(q.min(axis=1) < q[rows, incumbent], q.argmin(axis=1), incumbent)
-    return mdp._packed.ids[rows, chosen].tolist()
+    chosen = np.where(q.min(axis=0) < q[incumbent, rows], q.argmin(axis=0), incumbent)
+    return mdp._packed.ids[chosen, rows].tolist()
 
 
 def value_iteration(
@@ -438,6 +450,11 @@ def _reaching(edges, targets) -> set[int]:
     return seen
 
 
+# At most one float64 buffer for policy_evaluation's matrix.  A call takes it
+# with one pop, so threads never share it, and puts it back after the solve.
+_spare_matrix: list[np.ndarray] = []
+
+
 def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
     """Exact cost of a stationary policy via a linear solve.
 
@@ -453,7 +470,9 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
     in outcome order: rhs gains p * cost, and the matrix loses alpha * p at
     the successor's column where the successor is unknown.  Within a column
     each row appears once, so every entry takes the same float operations in
-    the same order as a per-state loop over the outcomes.
+    the same order as a per-state loop over the outcomes.  The matrix lives
+    in a module-level spare buffer that is refilled from the identity on
+    every call: it saves the allocation and its page faults, never a value.
     """
     import numpy as np
 
@@ -481,8 +500,16 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
     column[unknown] = i
     packed = mdp._packed
     rows = np.array(unknown, dtype=np.intp)
-    at = (slice(None), rows, np.asarray(slots, dtype=np.intp)[rows])
-    A = np.eye(m)
+    at = (slice(None), np.asarray(slots, dtype=np.intp)[rows], rows)
+    try:
+        buffer = _spare_matrix.pop()
+    except IndexError:
+        buffer = np.empty(0)
+    if buffer.size < m * m:
+        buffer = np.empty(m * m)
+    A = buffer[: m * m].reshape(m, m)
+    A.fill(0.0)
+    A[i, i] = 1.0
     rhs = np.zeros(m)
     # padding outcomes have p = 0, cost = 0 and lead to state 0, which is
     # never unknown: they add 0.0 to rhs and leave A alone
@@ -492,6 +519,7 @@ def policy_evaluation(mdp: FiniteMDP, policy: Sequence[int]) -> list[float]:
         live = j >= 0
         A[i[live], j[live]] -= mdp.discount * p[live]
     solved = np.linalg.solve(A, rhs)
+    _spare_matrix[:] = [buffer]
 
     if mdp.discount < 1.0:
         return [0.0] + solved.tolist()

@@ -216,6 +216,18 @@ def test_riccati_out_of_range_is_a_validation_error(argv, named, capsys):
     assert "nan" not in err
 
 
+@pytest.mark.parametrize("start", [[], ["--start", "inf"]])
+def test_riccati_vi_out_of_range_is_a_validation_error(start, capsys):
+    argv = ["--a", "1e200", "--b", "1", "--q", "1", "--r", "1", *start]
+    assert main(["riccati", "vi", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: r - a*a*r - q*b*b leaves the double range"
+        " at a=1e+200, b=1.0, q=1.0, r=1.0\n"
+    )
+
+
 def test_config_integer_beyond_the_double_range_names_the_field(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text('{"a": 1' + "0" * 400 + ', "b": 1, "q": 1, "r": 0.5}')

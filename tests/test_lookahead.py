@@ -51,6 +51,32 @@ def test_call_validation():
         lookahead_policy(mdp, short_base, 1)
 
 
+def test_spec_checks_its_terminal_once_and_keeps_a_copy():
+    mdp = random_mdp(3, discount=0.9, n_states=300)
+    good = random_values(4, mdp, 10.0)
+    # a bad entry is reported when the spec is built, with the call's text
+    for x, bad, text in ((0, 1.0, "terminal[0]: the termination state is pinned to 0"),
+                         (17, math.nan, "terminal[17]: entries are nonnegative reals, got nan")):
+        terminal = list(good)
+        terminal[x] = bad
+        with pytest.raises(ValueError) as err:
+            LookaheadSpec(depth=2, terminal=terminal)
+        assert str(err.value) == text
+    # the spec holds tuples: changing the caller's lists changes no decision
+    terminal, base = list(good), [c[0] for c in mdp.controls]
+    spec = LookaheadSpec(depth=2, terminal=terminal, rollout_steps=1, base=base)
+    before = [lookahead_policy(mdp, spec, x) for x in range(1, mdp.n_states)]
+    terminal[1:] = [math.nan] * (mdp.n_states - 1)
+    base[1:] = [-1] * (mdp.n_states - 1)
+    assert [lookahead_policy(mdp, spec, x) for x in range(1, mdp.n_states)] == before
+    # the length needs the model, so the call checks it
+    for short in ([], good[:-1]):
+        spec = LookaheadSpec(depth=2, terminal=short)
+        with pytest.raises(ValueError) as err:
+            lookahead_policy(mdp, spec, 1)
+        assert str(err.value) == f"terminal: expected 300 entries, got {len(short)}"
+
+
 def test_terminal_tables_name_their_first_bad_entry():
     mdp = random_mdp(3, discount=0.9, n_states=300)
     good = random_values(4, mdp, 10.0)

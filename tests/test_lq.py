@@ -223,6 +223,19 @@ def test_value_iteration_stopping_rule_and_budget():
         value_iteration(NOMINAL, -1.0, max_iters=0)
 
 
+def test_value_iteration_out_of_the_double_range_names_the_quantity():
+    # a*a overflows: from 0 the first sweep is 0*inf, from inf every sweep
+    # is inf and the step inf - inf; both name what solve_riccati names
+    problem = ScalarLQProblem(1e200, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError) as solved:
+        solve_riccati(problem)
+    assert str(solved.value).startswith("r - a*a*r - q*b*b leaves the double range at a=")
+    for start in (0.0, math.inf):
+        with pytest.raises(ValueError) as err:
+            value_iteration(problem, start)
+        assert str(err.value) == str(solved.value)
+
+
 def test_newton_step_examples():
     # at the fixed point the step stays put
     at_opt = newton_step(NOMINAL, NOMINAL_K)

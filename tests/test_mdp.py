@@ -7,6 +7,8 @@ is the overpriced option: staying forever costs 1/(1-0.5) = 2.
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -259,6 +261,31 @@ def test_undiscounted_start_is_evaluated_once(monkeypatch):
     calls.clear()
     with pytest.raises(ValueError, match="stable"):
         rollout_policy(model, [0, STAY])
+    assert len(calls) == 1
+
+
+def test_value_iteration_sweeps_once_through_the_public_operator(monkeypatch):
+    # perfbench's traced run times the mdp.bellman_operator span: one call
+    # per solve, also when the start already converged or sweeps run out
+    import dpnewton.mdp as mdp_module
+
+    calls = []
+
+    def counting(mdp, values):
+        calls.append(list(values))
+        return bellman_operator(mdp, values)
+
+    monkeypatch.setattr(mdp_module, "bellman_operator", counting)
+    model = random_mdp(3, 0.9)
+    values, sweeps = value_iteration(model)
+    assert sweeps > 1
+    assert calls == [zero_values(model)]
+    calls.clear()
+    assert value_iteration(model, values, tol=1e-9) == (values, 0)
+    assert calls == [values]
+    calls.clear()
+    with pytest.raises(ConvergenceError):
+        value_iteration(model, max_iters=2)
     assert len(calls) == 1
 
 
@@ -658,3 +685,55 @@ def test_policy_evaluation_matches_the_oracle_bit_for_bit():
             infinite += math.inf in values
             free += any(values[x] == 0.0 for x in recurrent - {0})
     assert infinite > 0 and free > 0
+
+
+def test_policy_evaluation_refills_its_reused_matrix():
+    # the spare matrix serves a 299-unknown solve, then 19, 299 again and
+    # an undiscounted chain with fewer unknowns: each result is the oracle's,
+    # whatever the buffer held from the call before
+    big = random_mdp(1, 0.99, n_states=300)
+    small = random_mdp(2, 0.9, n_states=20)
+    partial = random_mdp(10, 1.0, n_states=300, reach_termination=True)
+    partial_policy = random_policy(11, partial)
+    recurrent, infinite = chain_classes_oracle(partial, partial_policy)
+    assert 0 < 299 - len((recurrent | infinite) - {0}) < 299
+    cases = [
+        (big, random_policy(3, big)),
+        (small, random_policy(4, small)),
+        (big, random_policy(5, big)),
+        (partial, partial_policy),
+    ]
+    for mdp, policy in cases:
+        assert hexes(policy_evaluation(mdp, policy)) == hexes(
+            policy_evaluation_oracle(mdp, policy)
+        )
+
+
+def test_policy_evaluation_threads_never_share_the_matrix():
+    # numpy releases the GIL inside solve, so threads overlap there; three
+    # threads, each solving its own 300-state model, outnumber the cores of
+    # a desk machine
+    jobs = []
+    for seed in (21, 22, 23):
+        mdp = random_mdp(seed, 0.99, n_states=300)
+        jobs.append((mdp, random_policy(seed + 1, mdp)))
+    wants = [hexes(policy_evaluation_oracle(mdp, policy)) for mdp, policy in jobs]
+    got = [[] for _ in jobs]
+
+    def work(k):
+        for _ in range(20):
+            got[k].append(hexes(policy_evaluation(*jobs[k])))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for results, want in zip(got, wants):
+        assert results == [want] * 20
