@@ -98,9 +98,11 @@ def robustness_sweep(design, b_grid, r_grid) -> list[SweepPoint]:
     """Optimal, rollout, and fixed-gain cost coefficients over a (b, r) grid.
 
     The fixed gain keeps its design value while the true problem takes each
-    grid value; its closed loop is re-derived under the true b.  Where that
-    closed loop is unstable both the fixed-gain cost and its rollout cost are
-    +inf.  Points are emitted b-major in input order.
+    grid value; its closed loop is re-derived under the true b, once per b
+    row since it does not depend on r.  Where that closed loop is unstable
+    both the fixed-gain cost and its rollout cost are +inf; elsewhere the
+    rollout prices the fixed gain once, as its effective start.  Points are
+    emitted b-major in input order.
     """
     b_grid = [float(b) for b in b_grid]
     r_grid = [float(r) for r in r_grid]
@@ -109,13 +111,15 @@ def robustness_sweep(design, b_grid, r_grid) -> list[SweepPoint]:
     a, q = design.nominal.a, design.nominal.q
     rows = []
     for b in b_grid:
+        base = None
         for r in r_grid:
             p = ScalarLQProblem(a, b, q, r)
             optimal = solve_riccati(p)
-            base = LinearGain.from_gain(p, design.fixed_gain.gain)
+            if base is None:  # a + b*L is the same for every r of the row
+                base = LinearGain.from_gain(p, design.fixed_gain.gain)
             if base.stable:
-                cost_fixed = policy_cost(p, base)
-                cost_rollout = rollout(p, base).cost
+                step = rollout(p, base)
+                cost_fixed, cost_rollout = step.effective_start, step.cost
             else:
                 cost_fixed = cost_rollout = math.inf
             rows.append(SweepPoint(b, r, optimal, cost_rollout, cost_fixed))

@@ -38,6 +38,8 @@ def fmt_real(x: float) -> str:
 
 
 def parse_real(s: str) -> float:
+    if isinstance(s, bool):  # a JSON true is an int to float()
+        raise ValueError(f"expected a number, got {s!r}")
     x = float(s)
     if math.isnan(x):
         raise ValueError("NaN is not a value")

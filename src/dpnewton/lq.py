@@ -21,13 +21,18 @@ Everything here is closed form in double precision.  An unstable closed
 loop has infinite cost, represented by math.inf and kept out of arithmetic
 that could produce NaNs.  A finite answer that the double range cannot
 hold raises a ValueError naming the quantity that left it.
+
+Inputs are checked once, where they enter a public function; each formula
+(F, F', the greedy gain, a linear policy's cost) lives in one unchecked
+float kernel that the public functions share.  The value types are
+immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, check_budget
 
@@ -52,35 +57,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalarLQProblem:
-    """Coefficients (a, b, q, r) of a scalar LQ problem."""
-
+class _Coefficients(NamedTuple):
     a: float
     b: float
     q: float
     r: float
 
-    def __post_init__(self):
-        for name in ("a", "b", "q", "r"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite real, got {v!r}")
-        if self.b == 0:
-            raise ValueError("b must be nonzero (the control must act on the state)")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+
+def _reject_problem(a, b, q, r):
+    """Raise for the first entry that ScalarLQProblem's test refused."""
+    for name, v in (("a", a), ("b", b), ("q", q), ("r", r)):
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"{name} must be a finite real, got {v!r}")
+    if b == 0:
+        raise ValueError("b must be nonzero (the control must act on the state)")
+    if q <= 0:
+        raise ValueError("q must be positive")
+    raise ValueError("r must be positive")
 
 
-@dataclass(frozen=True)
-class LinearGain:
+class ScalarLQProblem(_Coefficients):
+    """Coefficients (a, b, q, r) of a scalar LQ problem.
+
+    An immutable tuple whose every constructor (the call, _make and
+    _replace) checks that the entries are finite reals, b != 0, q > 0 and
+    r > 0, in that order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, q, r):
+        real, finite = (int, float), math.isfinite
+        if not (
+            isinstance(a, real) and isinstance(b, real)
+            and isinstance(q, real) and isinstance(r, real)
+            and finite(a) and finite(b) and finite(q) and finite(r)
+            and b != 0 and q > 0 and r > 0
+        ):
+            _reject_problem(a, b, q, r)
+        return tuple.__new__(cls, (a, b, q, r))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class LinearGain(NamedTuple):
     """Linear feedback u = gain * x together with its closed-loop coefficient.
 
     closed_loop is a + b*gain for the problem the gain was built against.
     Stability is strict: |closed_loop| = 1 accumulates infinite cost and
-    counts as unstable.
+    counts as unstable.  An immutable tuple.
     """
 
     gain: float
@@ -98,13 +125,13 @@ class LinearGain:
         return cls(g, problem.a + problem.b * g)
 
 
-@dataclass(frozen=True)
-class NewtonStepResult:
+class NewtonStepResult(NamedTuple):
     """Outcome of one greedy linearization: where it started, what it chose.
 
     effective_start is the quadratic coefficient the greedy minimization was
     taken at, gain the resulting policy, cost its exact infinite-horizon
-    coefficient (math.inf when the closed loop is not strictly stable).
+    coefficient (math.inf when the closed loop is not strictly stable).  An
+    immutable tuple.
     """
 
     effective_start: float
@@ -112,12 +139,12 @@ class NewtonStepResult:
     cost: float
 
 
-@dataclass(frozen=True)
-class StabilityRegion:
+class StabilityRegion(NamedTuple):
     """Set of quadratic coefficients whose greedy policy is stable.
 
     When open is True the region is the open interval (threshold, inf);
-    otherwise every K >= 0 qualifies (and threshold is 0).
+    otherwise every K >= 0 qualifies (and threshold is 0).  An immutable
+    tuple.
     """
 
     threshold: float
@@ -129,6 +156,37 @@ class StabilityRegion:
         return coefficient >= 0.0
 
 
+# Float kernels: they check nothing, so a caller passes a finite K >= 0 it
+# has already validated.  The public functions check their inputs once and
+# then call these; policy_cost has nothing to check and is its own kernel.
+
+
+def _riccati_map(p: ScalarLQProblem, K: float) -> float:
+    """F(K) = a^2 r K / (r + b^2 K) + q."""
+    a, b, q, r = p
+    return a * a * r * K / (r + b * b * K) + q
+
+
+def _riccati_slope(p: ScalarLQProblem, K: float) -> float:
+    """F'(K) = (a r / (r + b^2 K))^2."""
+    a, b, _, r = p
+    s = r + b * b * K
+    return (a * r / s) ** 2
+
+
+def _greedy(p: ScalarLQProblem, K: float) -> LinearGain:
+    """Greedy gain -a b K / s and its closed loop a r / s, s = r + b^2 K."""
+    a, b, _, r = p
+    s = r + b * b * K
+    return LinearGain(-a * b * K / s, a * r / s)
+
+
+def _newton(p: ScalarLQProblem, K: float) -> NewtonStepResult:
+    """Greedy step at a finite K >= 0 and the exact cost of its gain."""
+    gain = _greedy(p, K)
+    return NewtonStepResult(K, gain, policy_cost(p, gain))
+
+
 def _check_coefficient(K: float) -> float:
     K = float(K)
     if math.isnan(K) or K < 0.0:
@@ -137,8 +195,9 @@ def _check_coefficient(K: float) -> float:
 
 
 def _check_finite_coefficient(K: float) -> float:
-    K = _check_coefficient(K)
-    if math.isinf(K):
+    K = float(K)
+    if not 0.0 <= K < math.inf:
+        _check_coefficient(K)  # raises for NaN and negative K
         raise ValueError("quadratic coefficient must be finite here")
     return K
 
@@ -154,15 +213,12 @@ def riccati_operator(problem: ScalarLQProblem, K: float) -> float:
     p = problem
     if math.isinf(K):
         return p.a * p.a * p.r / (p.b * p.b) + p.q
-    return p.a * p.a * p.r * K / (p.r + p.b * p.b * K) + p.q
+    return _riccati_map(p, K)
 
 
 def riccati_derivative(problem: ScalarLQProblem, K: float) -> float:
     """Slope of F at K: F'(K) = a^2 r^2 / (r + b^2 K)^2, in (0, a^2]."""
-    K = _check_finite_coefficient(K)
-    p = problem
-    s = p.r + p.b * p.b * K
-    return (p.a * p.r / s) ** 2
+    return _riccati_slope(problem, _check_finite_coefficient(K))
 
 
 def policy_operator(problem: ScalarLQProblem, gain: LinearGain, K: float) -> float:
@@ -220,16 +276,16 @@ def solve_riccati(problem: ScalarLQProblem, tol: float = 1e-12) -> float:
 
     Coefficients whose solve leaves the double range raise a ValueError
     naming the quantity that did: b*b, a coefficient or the discriminant
-    of the quadratic, the root K* or F(K*).  Where riccati_operator itself
-    overflows, the final residual is taken in exact rationals.  A residual
-    above tol otherwise raises ConvergenceError; a negative tol raises
-    ValueError.
+    of the quadratic, the root K* or F(K*).  Where F itself overflows, the
+    final residual is taken in exact rationals.  A residual above tol
+    otherwise raises ConvergenceError; a negative tol raises ValueError.
     """
     check_budget(tol)
     p = problem
-    A = p.b * p.b
-    B = p.r - p.a * p.a * p.r - p.q * A
-    C = -p.q * p.r
+    a, b, q, r = p
+    A = b * b
+    B = r - a * a * r - q * A
+    C = -q * r
     D = B * B - 4.0 * A * C
     disc = math.sqrt(D)
     if B > 0.0:
@@ -240,18 +296,20 @@ def solve_riccati(problem: ScalarLQProblem, tol: float = 1e-12) -> float:
         K = (disc - B) / (2.0 * A)
     if not math.isfinite(K):
         raise _out_of_range(_first_out_of_range(A, B, C, D) or "the root K*", p)
+    # K is finite and >= 0 from here on: the kernels need no checks
     for _ in range(3):
-        residual = riccati_operator(p, K) - K
-        slope = riccati_derivative(p, K)
+        residual = _riccati_map(p, K) - K
+        slope = _riccati_slope(p, K)
         if slope == 1.0:
             break  # F'(K) rounds to 1: the Newton step is undefined
         refined = K + residual / (1.0 - slope)
         if not math.isfinite(refined) or refined <= 0.0 or refined == K:
-            break
+            break  # residual is still F(K) - K at the kept K
         K = refined
-    residual = riccati_operator(p, K) - K
+    else:
+        residual = _riccati_map(p, K) - K
     if not (math.isfinite(residual) and A >= _MIN_NORMAL and math.isfinite(A * K)):
-        # riccati_operator's own arithmetic left the double range
+        # F's own arithmetic left the double range
         residual = _exact_residual(p, K)
     if abs(residual) > tol * max(1.0, K):
         lost = _first_out_of_range(A, B, C, D)
@@ -274,8 +332,7 @@ def greedy_gain(problem: ScalarLQProblem, K: float) -> LinearGain:
     p = problem
     if math.isinf(K):
         return LinearGain(-p.a / p.b, 0.0)
-    s = p.r + p.b * p.b * K
-    return LinearGain(-p.a * p.b * K / s, p.a * p.r / s)
+    return _greedy(p, K)
 
 
 def policy_cost(problem: ScalarLQProblem, gain: LinearGain) -> float:
@@ -283,19 +340,19 @@ def policy_cost(problem: ScalarLQProblem, gain: LinearGain) -> float:
 
     The fixed point of F_L: (q + r L^2) / (1 - (a+bL)^2) when the closed
     loop is strictly stable, math.inf otherwise (|a+bL| = 1 included).  A
-    stable gain whose finite cost overflows raises a ValueError.
+    stable gain whose finite cost overflows raises a ValueError.  A gain
+    needs no check, so this is also the kernel the other solvers call.
     """
-    if not gain.stable:
+    L, closed_loop = gain
+    if not abs(closed_loop) < 1.0:
         return math.inf
-    p = problem
+    _, _, q, r = problem
     try:
-        cost = (p.q + p.r * gain.gain ** 2) / (1.0 - gain.closed_loop ** 2)
+        cost = (q + r * L ** 2) / (1.0 - closed_loop ** 2)
     except OverflowError:
         cost = math.inf
     if cost == math.inf:
-        raise ValueError(
-            f"the policy cost of the stable gain {gain.gain!r} leaves the double range"
-        )
+        raise ValueError(f"the policy cost of the stable gain {L!r} leaves the double range")
     return cost
 
 
@@ -338,9 +395,7 @@ def newton_step(problem: ScalarLQProblem, K: float) -> NewtonStepResult:
     K' = F(K) + F'(K) (K' - K): this is literally the Newton iterate for
     K = F(K), infinite when K sits outside the stability region.
     """
-    K = _check_finite_coefficient(K)
-    gain = greedy_gain(problem, K)
-    return NewtonStepResult(K, gain, policy_cost(problem, gain))
+    return _newton(problem, _check_finite_coefficient(K))
 
 
 def lookahead_step(
@@ -410,7 +465,8 @@ def rollout(problem: ScalarLQProblem, base: LinearGain) -> NewtonStepResult:
         raise ValueError(
             f"rollout requires a stable base policy (closed loop {base.closed_loop!r})"
         )
-    return newton_step(problem, policy_cost(problem, base))
+    # a NaN gain prices a stable closed loop at NaN, which the check rejects
+    return _newton(problem, _check_finite_coefficient(policy_cost(problem, base)))
 
 
 def policy_iteration(
@@ -433,7 +489,7 @@ def policy_iteration(
     if not start.stable:
         raise ValueError("policy iteration must start from a stable policy")
     K_opt = solve_riccati(problem)
-    L_opt = greedy_gain(problem, K_opt)
+    L_opt = _greedy(problem, K_opt)
     gain = start
     iterates: list[tuple[LinearGain, float]] = []
     for _ in range(max_iters):
@@ -441,7 +497,7 @@ def policy_iteration(
         iterates.append((gain, cost))
         if abs(cost - K_opt) <= tol and abs(gain.gain - L_opt.gain) <= tol:
             return iterates
-        gain = greedy_gain(problem, cost)
+        gain = greedy_gain(problem, cost)  # cost is inf if rounding lost stability
     last = iterates[-1][1] if iterates else policy_cost(problem, start)
     raise ConvergenceError(
         f"policy iteration failed to reach tol={tol} within {max_iters} rounds",
@@ -457,8 +513,7 @@ def double_newton(problem: ScalarLQProblem, K: float) -> NewtonStepResult:
     the pair dominates plain two-step lookahead from the same terminal
     estimate.
     """
-    K = _check_finite_coefficient(K)
-    first = greedy_gain(problem, K)
+    first = _greedy(problem, _check_finite_coefficient(K))
     if not first.stable:
         raise ValueError(
             "double Newton step needs a start inside the stability region "

@@ -6,6 +6,7 @@ outside this package.
 """
 
 import math
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from dpnewton.adaptive import (
     robustness_sweep,
     superlinear_ratios,
 )
-from dpnewton.lq import LinearGain, ScalarLQProblem
+from dpnewton.lq import LinearGain, ScalarLQProblem, policy_cost, rollout, solve_riccati
 
 NOMINAL = ScalarLQProblem(1.0, 2.0, 1.0, 0.5)
 NOMINAL_K = 1.1123724356957945  # (2 + sqrt 6)/4
@@ -82,6 +83,80 @@ def test_sweep_rejects_empty_grids(design):
         robustness_sweep(design, [], [0.5])
     with pytest.raises(ValueError):
         robustness_sweep(design, [2.0], [])
+
+
+def test_sweep_calls_the_traced_functions_once_per_point(design, monkeypatch):
+    # perfbench's traced run times the lq.solve_riccati and lq.rollout spans:
+    # one solve per grid point, one rollout per point with a stable base
+    import dpnewton.adaptive as adaptive_module
+
+    calls = {"solve": 0, "rollout": 0}
+
+    def counting_solve(p, *args, **kwargs):
+        calls["solve"] += 1
+        return solve_riccati(p, *args, **kwargs)
+
+    def counting_rollout(p, base):
+        calls["rollout"] += 1
+        return rollout(p, base)
+
+    monkeypatch.setattr(adaptive_module, "solve_riccati", counting_solve)
+    monkeypatch.setattr(adaptive_module, "rollout", counting_rollout)
+    # the fixed gain holds b = 0.5 and 1.0 but not b = 5.0 or -1.0
+    points = robustness_sweep(design, [0.5, 5.0, 1.0, -1.0], [0.3, 0.5, 2.0])
+    assert calls == {"solve": 12, "rollout": 6}
+    assert sum(math.isfinite(p.K_L) for p in points) == 6
+
+
+def _sweep_cases():
+    rng = random.Random(2024)
+    for _ in range(4):
+        nominal = ScalarLQProblem(
+            rng.uniform(-1.5, 1.5), rng.choice((-1, 1)) * rng.uniform(0.5, 3.0),
+            rng.uniform(0.5, 2.0), rng.uniform(0.1, 2.0),
+        )
+        b_grid = [nominal.b * s for s in (0.3, 1.0, 2.5, -1.0)]
+        b_grid += [rng.uniform(-6.0, 6.0) for _ in range(6)]
+        r_grid = [1e-300, nominal.r] + [10.0 ** rng.uniform(-300, 100) for _ in range(6)]
+        yield nominal, b_grid, r_grid
+    # K* = 1e300 at (1e-150, 1e300): F(K*) overflows and the solve's final
+    # residual is taken in exact rationals; K_L is 2e299 at (2, 1e300)
+    yield NOMINAL, [1e-150, 2.0, -1.0], [1.0, 1e300]
+
+
+def test_sweep_points_equal_the_public_per_point_functions():
+    unstable = 0
+    for nominal, b_grid, r_grid in _sweep_cases():
+        design = NominalDesign.for_problem(nominal)
+        points = robustness_sweep(design, b_grid, r_grid)
+        assert [(p.b, p.r) for p in points] == [(b, r) for b in b_grid for r in r_grid]
+        for point in points:
+            p = ScalarLQProblem(nominal.a, point.b, nominal.q, point.r)
+            base = LinearGain.from_gain(p, design.fixed_gain.gain)
+            if base.stable:
+                want = (policy_cost(p, base), rollout(p, base).cost)
+            else:
+                unstable += 1
+                want = (math.inf, math.inf)
+            got = (point.K_L, point.K_rollout)
+            assert point.K_star.hex() == solve_riccati(p).hex()
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert unstable > 0
+
+
+@pytest.mark.parametrize("b_grid, r_grid, message", [
+    ([2.0, 0.0], [0.5], "b must be nonzero (the control must act on the state)"),
+    ([2.0, math.nan], [0.5], "b must be a finite real, got nan"),
+    ([2.0], [0.5, 0.0], "r must be positive"),
+    ([2.0], [0.5, -1.0], "r must be positive"),
+    ([2.0], [0.5, math.inf], "r must be a finite real, got inf"),
+    # b-major: (2, inf) comes before (0, 0.5)
+    ([2.0, 0.0], [0.5, math.inf], "r must be a finite real, got inf"),
+])
+def test_sweep_rejects_the_first_bad_point_in_b_major_order(design, b_grid, r_grid, message):
+    with pytest.raises(ValueError) as err:
+        robustness_sweep(design, b_grid, r_grid)
+    assert str(err.value) == message
 
 
 GOLDEN_SCHEDULE = [(0, 2.0, 0.5), (10, 1.0, 0.5)]

@@ -235,6 +235,42 @@ def test_config_integer_beyond_the_double_range_names_the_field(tmp_path, capsys
     assert capsys.readouterr().err == "validation error: a: int too large to convert to float\n"
 
 
+@pytest.mark.parametrize("argv, config, field", [
+    (["riccati", "solve"], {"a": True, "b": 2, "q": 1, "r": 0.5}, "a"),
+    (["mdp", "random"], {"seed": 1, "discount": True}, "discount"),
+    (["adaptive", "replan", *NOMINAL_FLAGS], {"schedule": "0:2:0.5", "x0": True}, "x0"),
+    (["adaptive", "sweep", *NOMINAL_FLAGS], {"grid-b": [1, True]}, "grid-b"),
+    (["mdp", "lookahead", "--state", "0"], {"terminal": [1, True]}, "terminal"),
+])
+def test_config_booleans_are_not_reals(argv, config, field, tmp_path, capsys):
+    if argv[1] == "lookahead":
+        save_mdp(two_state_mdp(), tmp_path / "mdp.json")
+        config = {**config, "file": str(tmp_path / "mdp.json")}
+    document = tmp_path / "cfg.json"
+    document.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {field}: expected a number, got True\n"
+
+
+def test_negative_reals_in_exponent_form_take_the_equals_form(capsys):
+    rest = ["--b", "2", "--q", "1", "--r", "0.5"]
+    assert main(["riccati", "solve", "--a=-1e-3", *rest]) == 0
+    exponent_form = capsys.readouterr().out
+    assert main(["riccati", "solve", "--a", "-0.001", *rest]) == 0
+    assert exponent_form == capsys.readouterr().out
+    assert main(["riccati", "vi", *NOMINAL_FLAGS, "--start=-inf"]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: quadratic coefficient must be nonnegative, got -inf\n"
+    )
+    # argparse reads -1e-3 as an option name, not as a value
+    with pytest.raises(SystemExit) as stop:
+        main(["riccati", "solve", "--a", "-1e-3", *rest])
+    assert stop.value.code == 2
+    assert "argument --a: expected one argument" in capsys.readouterr().err
+
+
 def test_grid_with_an_infinite_span_is_rejected(capsys):
     assert main(["adaptive", "sweep", *NOMINAL_FLAGS, "--grid-b", "0:inf:1"]) == 2
     err = capsys.readouterr().err

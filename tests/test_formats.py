@@ -40,6 +40,9 @@ def test_reals_round_trip_exactly():
         fmt_real(math.nan)
     with pytest.raises(ValueError):
         parse_real("nan")
+    for flag in (True, False):  # JSON booleans are ints to float()
+        with pytest.raises(ValueError, match="expected a number"):
+            parse_real(flag)
 
 
 def test_csv_layout(tmp_path):

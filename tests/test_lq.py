@@ -7,6 +7,7 @@ oracles and frozen here.
 """
 
 import math
+import pickle
 import re
 
 import pytest
@@ -14,7 +15,9 @@ import pytest
 from dpnewton.errors import ConvergenceError
 from dpnewton.lq import (
     LinearGain,
+    NewtonStepResult,
     ScalarLQProblem,
+    StabilityRegion,
     double_newton,
     greedy_gain,
     lookahead_step,
@@ -49,6 +52,71 @@ def test_problem_validation():
         ScalarLQProblem(1.0, 1.0, 1.0, -2.0)
     with pytest.raises(ValueError):
         ScalarLQProblem(math.inf, 1.0, 1.0, 1.0)
+
+
+BAD_COEFFICIENTS = [
+    ((1.0, 0.0, 1.0, 1.0), "b must be nonzero (the control must act on the state)"),
+    ((1.0, -0.0, 1.0, 1.0), "b must be nonzero (the control must act on the state)"),
+    ((1.0, 1.0, 0.0, 1.0), "q must be positive"),
+    ((1.0, 1.0, -1.0, 1.0), "q must be positive"),
+    ((1.0, 1.0, 1.0, 0.0), "r must be positive"),
+    ((1.0, 1.0, 1.0, -2.0), "r must be positive"),
+    ((math.inf, 1.0, 1.0, 1.0), "a must be a finite real, got inf"),
+    ((1.0, math.nan, 1.0, 1.0), "b must be a finite real, got nan"),
+    ((1.0, 1.0, -math.inf, 1.0), "q must be a finite real, got -inf"),
+    ((1.0, 1.0, 1.0, "0.5"), "r must be a finite real, got '0.5'"),
+    # every entry is tested for a finite real first, in a, b, q, r order
+    ((1.0, 0.0, 0.0, math.nan), "r must be a finite real, got nan"),
+    ((1.0, 0.0, 0.0, 0.0), "b must be nonzero (the control must act on the state)"),
+    ((1.0, 1.0, 0.0, 0.0), "q must be positive"),
+]
+
+CONSTRUCTORS = {
+    "call": lambda c: ScalarLQProblem(*c),
+    "keywords": lambda c: ScalarLQProblem(**dict(zip("abqr", c))),
+    "make": lambda c: ScalarLQProblem._make(c),
+    "replace": lambda c: NOMINAL._replace(**dict(zip("abqr", c))),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+@pytest.mark.parametrize("coefficients, message", BAD_COEFFICIENTS)
+def test_every_problem_constructor_validates(build, coefficients, message):
+    with pytest.raises(ValueError) as err:
+        build(coefficients)
+    assert str(err.value) == message
+    built = build((1.0, 2.0, 1.0, 0.5))
+    assert type(built) is ScalarLQProblem and built == NOMINAL
+
+
+def test_value_types_are_immutable_tuples():
+    gain = LinearGain(0.5, 0.25)
+    step = NewtonStepResult(1.0, gain, 2.0)
+    region = StabilityRegion(0.0, False)
+    for value, field in ((NOMINAL, "b"), (gain, "gain"), (step, "cost"), (region, "open")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 3.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+        assert getattr(value, field) != 3.0
+    assert repr(NOMINAL) == "ScalarLQProblem(a=1.0, b=2.0, q=1.0, r=0.5)"
+    assert repr(step) == (
+        "NewtonStepResult(effective_start=1.0, "
+        "gain=LinearGain(gain=0.5, closed_loop=0.25), cost=2.0)"
+    )
+    assert repr(region) == "StabilityRegion(threshold=0.0, open=False)"
+    twin = ScalarLQProblem(1.0, 2.0, 1.0, 0.5)
+    assert twin is not NOMINAL and twin == NOMINAL and hash(twin) == hash(NOMINAL)
+    assert LinearGain(0.5, 0.25) == gain and hash(LinearGain(0.5, 0.25)) == hash(gain)
+    assert pickle.loads(pickle.dumps(NOMINAL)) == NOMINAL
+
+
+def test_stability_is_strict():
+    assert not LinearGain(0.0, 1.0).stable
+    assert not LinearGain(0.0, -1.0).stable
+    assert not LinearGain(0.0, math.nan).stable
+    assert LinearGain(0.0, math.nextafter(1.0, 0.0)).stable
+    assert LinearGain(0.0, -math.nextafter(1.0, 0.0)).stable
 
 
 def test_riccati_operator_values():
@@ -371,3 +439,15 @@ def test_double_newton_examples():
     # K = 0 sits on the (excluded) boundary for the nominal problem
     with pytest.raises(ValueError):
         double_newton(NOMINAL, 0.0)
+
+
+def test_rollout_rejects_the_nan_cost_of_a_nan_gain():
+    # -a b K and r + b^2 K both overflow at K = 1e300: the greedy gain is
+    # NaN while its closed loop a r / s is 0, so the rollout prices NaN
+    p = ScalarLQProblem(1.0, 1e10, 1.0, 1.0)
+    first = greedy_gain(p, 1e300)
+    assert math.isnan(first.gain) and first.stable
+    for step in (lambda: double_newton(p, 1e300), lambda: rollout(p, first)):
+        with pytest.raises(ValueError) as err:
+            step()
+        assert str(err.value) == "quadratic coefficient must be nonnegative, got nan"
