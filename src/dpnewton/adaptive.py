@@ -18,7 +18,6 @@ is a separate concern and no estimator lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lq import (
@@ -49,25 +48,34 @@ MODES = ("fixed_base", "rollout_replan", "oracle_reoptimize")
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class NominalDesign:
-    """A problem together with the gain that is optimal for it.
-
-    The gain is frozen at design time; experiments then apply it to other
-    problems.  Construction rejects a gain that is not optimal for the
-    nominal problem to 1e-12.
-    """
-
+class _DesignFields(NamedTuple):
     nominal: ScalarLQProblem
     fixed_gain: LinearGain
 
-    def __post_init__(self):
-        best = greedy_gain(self.nominal, solve_riccati(self.nominal))
-        if abs(self.fixed_gain.gain - best.gain) > 1e-12 * max(1.0, abs(best.gain)):
+
+class NominalDesign(_DesignFields):
+    """A problem together with the gain that is optimal for it.
+
+    The gain is frozen at design time; experiments then apply it to other
+    problems.  An immutable tuple whose every constructor (the call, _make
+    and _replace) rejects a gain that is not optimal for the nominal
+    problem to 1e-12, a NaN gain included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nominal: ScalarLQProblem, fixed_gain: LinearGain):
+        best = greedy_gain(nominal, solve_riccati(nominal))
+        if not abs(fixed_gain.gain - best.gain) <= 1e-12 * max(1.0, abs(best.gain)):
             raise ValueError(
-                f"fixed_gain {self.fixed_gain.gain!r} is not optimal for the "
+                f"fixed_gain {fixed_gain.gain!r} is not optimal for the "
                 f"nominal problem (expected {best.gain!r})"
             )
+        return tuple.__new__(cls, (nominal, fixed_gain))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def for_problem(cls, problem: ScalarLQProblem) -> "NominalDesign":
@@ -126,14 +134,14 @@ def robustness_sweep(design, b_grid, r_grid) -> list[SweepPoint]:
     return rows
 
 
-@dataclass(frozen=True)
-class ReplanTrace:
+class ReplanTrace(NamedTuple):
     """A closed-loop run, recorded step by step.
 
     states holds x_0..x_T, the other per-step tuples hold entries 0..T-1;
     T < horizon only when the run tripped the divergence limit.  tail_bound
     is the active controller's quadratic coefficient times the final state
     squared, an upper bound on the cost ignored by truncating the horizon.
+    An immutable tuple.
     """
 
     mode: str
@@ -261,9 +269,14 @@ def superlinear_ratios(problem: ScalarLQProblem, k_grid=None):
     Defaults to the geometric grid K_opt + 2^-i for i = 0..19.  Returns
     (points, skipped): points is a list of (K, ratio) for grid values inside
     the stability region, skipped lists the values outside it.  The exact
-    fixed point is rejected (0/0).  Ratios on the default grid are positive
-    and strictly decreasing; closer than about 1e-8 to the fixed point
-    round-off takes over and no monotonicity is promised.
+    fixed point is rejected (0/0).
+
+    Above the fixed point the ratios obey the Newton bound: for K > K_opt,
+    0 < ratio <= g * (K - K_opt) with
+    g = a^2 b^2 r^2 / ((r + b^2 K_opt) ((r + b^2 K_opt)^2 - a^2 r^2)),
+    up to the rounding of step(K) - K_opt, a few ulps of K_opt divided by
+    K - K_opt.  They shrink linearly with the distance, but they need not
+    decrease monotonically.
     """
     opt = solve_riccati(problem)
     region = stability_region(problem)

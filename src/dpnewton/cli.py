@@ -47,6 +47,13 @@ def _natural(raw) -> int:
     return count
 
 
+def _flag(raw) -> int:
+    flag = _count(raw)
+    if flag not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {raw!r}")
+    return flag
+
+
 def _items(raw) -> list:
     """A JSON list as it stands, or the parts of a comma-separated string."""
     return raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         _Opt("seed", _count, required=True),
         _Opt("discount", parse_real, default=0.9),
         _Opt("states", _count, default=None),
-        _Opt("reach-termination", _count, default=0, help="1 forces a path to termination"),
+        _Opt("reach-termination", _flag, default=0, help="0 or 1; 1 forces a path to termination"),
     ], _cmd_mdp_random, help="write a seeded random instance")
 
     ada = families.add_parser("adaptive", help="replanning experiments")

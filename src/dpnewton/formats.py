@@ -117,19 +117,13 @@ def save_mdp(mdp: FiniteMDP, target) -> None:
         fh.write("\n")
 
 
-def _require(doc: dict, key: str, kind, where: str):
+def _require(doc: dict, key: str, kind=None):
+    """A top-level field of the document, of type `kind` when one is given."""
     if key not in doc:
-        raise MDPValidationError(where, "missing required field")
+        raise MDPValidationError(key, "missing required field")
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MDPValidationError(where, f"expected a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:
-            raise MDPValidationError(where, "the number leaves the double range") from None
-    if not isinstance(value, kind):
-        raise MDPValidationError(where, f"expected {kind.__name__}, got {value!r}")
+    if kind is not None and not isinstance(value, kind):
+        raise MDPValidationError(key, f"expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -138,7 +132,10 @@ def load_mdp(source) -> FiniteMDP:
 
     The first violation is reported as an MDPValidationError whose .path
     names the offending field, e.g. "transitions[1][0][2].p".  `source` is a
-    path or anything json.load accepts via read().
+    path or anything json.load accepts via read().  This function checks the
+    document's shape: objects, lists, unknown and missing keys, and the
+    states count.  FiniteMDP checks every number, so a shape fault is
+    reported before a number fault.
     """
     with _open(source, "r") as fh:
         doc = json.load(fh)
@@ -148,11 +145,11 @@ def load_mdp(source) -> FiniteMDP:
     if unknown:
         raise MDPValidationError(sorted(unknown)[0], "unknown field")
 
-    n = _require(doc, "states", int, "states")
-    if isinstance(doc["states"], bool) or n < 1:
-        raise MDPValidationError("states", f"expected a positive count, got {doc['states']!r}")
-    alpha = _require(doc, "alpha", float, "alpha")
-    transitions = _require(doc, "transitions", list, "transitions")
+    n = _require(doc, "states", int)
+    if isinstance(n, bool) or n < 1:
+        raise MDPValidationError("states", f"expected a positive count, got {n!r}")
+    alpha = _require(doc, "alpha")
+    transitions = _require(doc, "transitions", list)
     if len(transitions) != n:
         raise MDPValidationError(
             "transitions", f"expected {n} per-state entries, got {len(transitions)}"
@@ -181,17 +178,15 @@ def load_mdp(source) -> FiniteMDP:
                     raise MDPValidationError(
                         f"{where}.{sorted(unknown)[0]}", "unknown field"
                     )
-                p = _require(item, "p", float, f"{where}.p")
-                nxt = _require(item, "next", int, f"{where}.next")
-                if isinstance(item["next"], bool):
+                try:
+                    outs.append((item["p"], item["next"], item["cost"]))
+                except KeyError as err:
                     raise MDPValidationError(
-                        f"{where}.next", f"expected int, got {item['next']!r}"
-                    )
-                cost = _require(item, "cost", float, f"{where}.cost")
-                outs.append((p, nxt, cost))
+                        f"{where}.{err.args[0]}", "missing required field"
+                    ) from None
             dists.append(outs)
         table.append(dists)
 
-    # semantic invariants (ranges, sums, the absorbing state) are checked by
-    # the constructor with the same path convention
+    # the numbers and the model's rules (ranges, sums, the absorbing state)
+    # are checked by the constructor with the same path convention
     return FiniteMDP(alpha, table, controls)

@@ -21,8 +21,7 @@ Cost and memory grow with the reachable states per stage, not the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .mdp import FiniteMDP, Outcome, _check_entries
 
@@ -47,8 +46,16 @@ class LookaheadChoice(NamedTuple):
     leaves: int
 
 
-@dataclass(frozen=True)
-class LookaheadSpec:
+class _SpecFields(NamedTuple):  # the defaults are LookaheadSpec.__new__'s
+    depth: int
+    terminal: tuple[float, ...]
+    rollout_steps: int
+    base: tuple[int, ...] | None
+    ce_mode: str
+    nominal: Mapping[tuple[int, int], int] | None
+
+
+class LookaheadSpec(_SpecFields):
     """Everything a lookahead controller needs besides the model and state.
 
     depth counts minimization stages (>= 1).  rollout_steps applies `base`
@@ -58,35 +65,34 @@ class LookaheadSpec:
     outcome with a chosen outcome index per (state, control).  Ties in the
     minimization always go to the lowest control id.
 
-    `terminal` and `base` are stored as tuples, so later changes to the
-    caller's lists do not reach the spec, and the terminal entries are
-    checked here once (entry 0 pinned to 0, every entry a nonnegative
-    real).  What needs the model, the table lengths and the base controls'
-    admissibility, is checked by lookahead_policy.
+    An immutable tuple whose every constructor (the call, _make and
+    _replace) validates.  `terminal` and `base` are stored as tuples, so
+    later changes to the caller's lists do not reach the spec, and the
+    terminal entries are checked here once (entry 0 pinned to 0, every
+    entry a nonnegative real).  What needs the model, the table lengths and
+    the base controls' admissibility, is checked by lookahead_policy.
     """
 
-    depth: int
-    terminal: Sequence[float]
-    rollout_steps: int = 0
-    base: Sequence[int] | None = None
-    ce_mode: str = "exact"
-    nominal: Mapping[tuple[int, int], int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 1:
-            raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
-        if not isinstance(self.rollout_steps, int) or self.rollout_steps < 0:
-            raise ValueError(
-                f"rollout_steps must be an integer >= 0, got {self.rollout_steps!r}"
-            )
-        if self.rollout_steps > 0 and self.base is None:
+    def __new__(cls, depth, terminal, rollout_steps=0, base=None, ce_mode="exact", nominal=None):
+        if not isinstance(depth, int) or depth < 1:
+            raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
+        if not isinstance(rollout_steps, int) or rollout_steps < 0:
+            raise ValueError(f"rollout_steps must be an integer >= 0, got {rollout_steps!r}")
+        if rollout_steps > 0 and base is None:
             raise ValueError("rollout_steps > 0 requires a base policy")
-        if self.ce_mode not in CE_MODES:
-            raise ValueError(f"ce_mode must be one of {CE_MODES}, got {self.ce_mode!r}")
-        object.__setattr__(self, "terminal", tuple(self.terminal))
-        if self.base is not None:
-            object.__setattr__(self, "base", tuple(self.base))
-        _check_entries(self.terminal, "terminal")
+        if ce_mode not in CE_MODES:
+            raise ValueError(f"ce_mode must be one of {CE_MODES}, got {ce_mode!r}")
+        terminal = tuple(terminal)
+        if base is not None:
+            base = tuple(base)
+        _check_entries(terminal, "terminal")
+        return tuple.__new__(cls, (depth, terminal, rollout_steps, base, ce_mode, nominal))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def nominal_outcome(
@@ -125,22 +131,18 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
     rollout the choice coincides, bit for bit, with the greedy policy
     against `spec.terminal` in the "exact" and "ce_after_first" modes.
     """
-    if len(spec.terminal) != mdp.n_states:
-        raise ValueError(
-            f"terminal: expected {mdp.n_states} entries, got {len(spec.terminal)}"
-        )
+    depth, terminal, rollout_steps, base, ce_mode, nominal = spec
+    if len(terminal) != mdp.n_states:
+        raise ValueError(f"terminal: expected {mdp.n_states} entries, got {len(terminal)}")
     if not 1 <= state < mdp.n_states:
         raise ValueError(f"state must be nonterminal (1..{mdp.n_states - 1}), got {state}")
-    if spec.base is not None:
-        if len(spec.base) != mdp.n_states:
-            raise ValueError(
-                f"base: expected {mdp.n_states} entries, got {len(spec.base)}"
-            )
+    if base is not None:
+        if len(base) != mdp.n_states:
+            raise ValueError(f"base: expected {mdp.n_states} entries, got {len(base)}")
         for x in range(mdp.n_states):
-            mdp.outcomes(x, spec.base[x])
+            mdp.outcomes(x, base[x])
 
-    depth = spec.depth
-    horizon = depth + spec.rollout_steps
+    horizon = depth + rollout_steps
     # Forward: stages[k] maps each state reachable in k steps to its branches
     # [(control, ((p, next, cost), ...)), ...].  The first `depth` stages
     # branch on every control, the rollout stages on the base control only.
@@ -151,22 +153,22 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
     stages = []
     reach = {state: None}
     for k in range(horizon):
-        expand = spec.ce_mode == "exact" or (k == 0 and spec.ce_mode != "ce_all")
+        expand = ce_mode == "exact" or (k == 0 and ce_mode != "ce_all")
         built = kinds.setdefault((k < depth, expand), {})
         stage = {}
         for x in reach:
             branches = built.get(x)
             if branches is None:
-                controls = mdp.controls[x] if k < depth else (spec.base[x],)
+                controls = mdp.controls[x] if k < depth else (base[x],)
                 if expand:
                     branches = [(u, mdp.outcomes(x, u)) for u in controls]
                 else:
-                    outs = [nominal_outcome(mdp, x, u, spec.nominal) for u in controls]
+                    outs = [nominal_outcome(mdp, x, u, nominal) for u in controls]
                     branches = [(u, ((1.0, o.next, o.cost),)) for u, o in zip(controls, outs)]
                 built[x] = branches
             stage[x] = branches
         stages.append(stage)
-        if k + 1 < horizon:  # the last stage's successors read spec.terminal
+        if k + 1 < horizon:  # the last stage's successors read terminal
             reach = {nxt: None for branches in stage.values()
                      for _, outs in branches for _, nxt, _ in outs}
 
@@ -177,7 +179,7 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
     # `depth` being one leaf.  Stage 0 holds only the root and is folded
     # last, so best, best_u and leaves end as the root's.
     alpha = mdp.discount
-    values = spec.terminal
+    values = terminal
     for k in range(horizon - 1, -1, -1):
         if k == depth - 1:
             counts = [1] * mdp.n_states

@@ -53,6 +53,16 @@ class Outcome(NamedTuple):
 PROB_TOL = 1e-12
 
 
+def _real(x, where: str) -> float:
+    """x as a float: a real number other than a bool, in the double range."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise MDPValidationError(where, f"expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise MDPValidationError(where, "the number leaves the double range") from None
+
+
 class FiniteMDP:
     """Immutable finite MDP over states 0..n-1 with termination state 0.
 
@@ -61,6 +71,11 @@ class FiniteMDP:
     control ids; omit it for the usual 0..m-1 numbering.  Controls are
     stored sorted ascending with their distributions realigned, so position
     order and id order agree everywhere downstream.
+
+    The discount, every probability and every cost must be a real number
+    (not a bool) that a double can hold.  The first violation of any rule
+    raises MDPValidationError naming its path, e.g. "transitions[1][0][2].p",
+    where the slot is the control's position in the caller's list.
     """
 
     def __init__(
@@ -69,11 +84,10 @@ class FiniteMDP:
         transitions: Sequence[Sequence[Iterable[tuple]]],
         controls: Sequence[Sequence[int]] | None = None,
     ):
-        if not isinstance(discount, (int, float)) or math.isnan(discount):
-            raise MDPValidationError("alpha", f"discount must be a real, got {discount!r}")
-        if not 0.0 < discount <= 1.0:
+        alpha = _real(discount, "alpha")
+        if not 0.0 < alpha <= 1.0:  # also true for NaN
             raise MDPValidationError("alpha", f"discount must be in (0, 1], got {discount!r}")
-        self.discount = float(discount)
+        self.discount = alpha
 
         n = len(transitions)
         if n < 1:
@@ -151,8 +165,8 @@ class FiniteMDP:
                 raise MDPValidationError(
                     f"{here}[{k}]", f"expected (p, next, cost), got {row!r}"
                 ) from None
-            p = float(p)
-            cost = float(cost)
+            if type(p) is not float:  # the common case skips the call
+                p = _real(p, f"{here}[{k}].p")
             if not math.isfinite(p) or p <= 0.0:
                 raise MDPValidationError(
                     f"{here}[{k}].p", f"probabilities must be positive, got {p!r}"
@@ -165,6 +179,8 @@ class FiniteMDP:
                 raise MDPValidationError(
                     f"{here}[{k}].next", f"successor {nxt} outside 0..{n - 1}"
                 )
+            if type(cost) is not float:
+                cost = _real(cost, f"{here}[{k}].cost")
             if not math.isfinite(cost) or cost < 0.0:
                 raise MDPValidationError(
                     f"{here}[{k}].cost", f"costs must be finite and nonnegative, got {cost!r}"

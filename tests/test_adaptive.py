@@ -23,6 +23,8 @@ from dpnewton.adaptive import (
 )
 from dpnewton.lq import LinearGain, ScalarLQProblem, policy_cost, rollout, solve_riccati
 
+from util import lq_newton_ratio_slope_oracle
+
 NOMINAL = ScalarLQProblem(1.0, 2.0, 1.0, 0.5)
 NOMINAL_K = 1.1123724356957945  # (2 + sqrt 6)/4
 FIXED_GAIN = -0.4494897427831781
@@ -33,10 +35,37 @@ def design():
     return NominalDesign.for_problem(NOMINAL)
 
 
+DESIGN_CONSTRUCTORS = {
+    "call": lambda gain: NominalDesign(NOMINAL, gain),
+    "keywords": lambda gain: NominalDesign(nominal=NOMINAL, fixed_gain=gain),
+    "make": lambda gain: NominalDesign._make((NOMINAL, gain)),
+    "replace": lambda gain: NominalDesign.for_problem(NOMINAL)._replace(fixed_gain=gain),
+}
+
+
+@pytest.mark.parametrize("build", DESIGN_CONSTRUCTORS.values(), ids=DESIGN_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("gain", [-0.4, math.nan, math.inf, -math.inf])
+def test_every_design_constructor_demands_the_optimal_gain(build, gain, design):
+    with pytest.raises(ValueError) as err:
+        build(LinearGain(gain, NOMINAL.a + NOMINAL.b * gain))
+    assert str(err.value) == (
+        f"fixed_gain {gain!r} is not optimal for the nominal problem "
+        f"(expected {FIXED_GAIN!r})"
+    )
+    built = build(design.fixed_gain)
+    assert type(built) is NominalDesign and built == design
+
+
 def test_design_demands_the_optimal_gain(design):
     assert design.fixed_gain.gain == pytest.approx(FIXED_GAIN, abs=1e-15)
     with pytest.raises(ValueError):
         NominalDesign(NOMINAL, LinearGain.from_gain(NOMINAL, -0.4))
+    with pytest.raises(AttributeError):
+        design.fixed_gain = LinearGain(-0.4, 0.2)
+    assert repr(design) == (
+        "NominalDesign(nominal=ScalarLQProblem(a=1.0, b=2.0, q=1.0, r=0.5), "
+        f"fixed_gain={design.fixed_gain!r})"
+    )
 
 
 def test_sweep_nominal_point_coincides(design):
@@ -286,6 +315,28 @@ def test_ratio_decay_on_the_geometric_grid():
     for i in range(4, 19):
         assert 1.9 < ratios[i] / ratios[i + 1] < 2.1
     assert 5e-8 < ratios[-1] < 1.2e-7
+
+
+# step(K) - K* is rounded to within a few ulps of K*; the ratio divides that
+# by K - K*.  Seeds 1-20 need at most 1.08 ulps.
+RATIO_ULPS = 4
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_ratios_obey_the_newton_bound(seed):
+    # the nominal problem of the lq_adaptive benchmark workload at this seed;
+    # at seed 9 the ratios are not monotone, but they keep to the bound
+    rng = random.Random(f"lq_adaptive/{seed}")
+    a, b = rng.uniform(0.8, 1.2), rng.uniform(1.5, 2.5)
+    q, r = rng.uniform(0.5, 1.5), rng.uniform(0.3, 0.7)
+    problem = ScalarLQProblem(a, b, q, r)
+    k_opt = solve_riccati(problem)
+    slope = lq_newton_ratio_slope_oracle(a, b, r, k_opt)
+    points, skipped = superlinear_ratios(problem)
+    assert skipped == [] and len(points) == 20
+    for K, ratio in points:
+        d = K - k_opt
+        assert 0.0 < ratio <= slope * d + RATIO_ULPS * math.ulp(k_opt) / d, K
 
 
 def test_ratio_shrinks_with_the_distance():

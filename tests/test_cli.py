@@ -127,6 +127,21 @@ def test_mdp_random_needs_a_state(states, tmp_path, capsys):
     assert not (tmp_path / "mdp.json").exists()
 
 
+def test_mdp_random_reach_termination_is_0_or_1(tmp_path, capsys):
+    for flag in ("-1", "5", "2"):
+        assert main(["mdp", "random", "--seed", "3", "--reach-termination", flag,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: reach-termination: expected 0 or 1, got '{flag}'\n"
+        )
+    assert not (tmp_path / "mdp.json").exists()
+    outputs = {}
+    for flag in ("0", "1"):
+        assert main(["mdp", "random", "--seed", "3", "--reach-termination", flag]) == 0
+        outputs[flag] = capsys.readouterr().out
+    assert outputs["0"] != outputs["1"]
+
+
 def test_mdp_solve_round_trip(tmp_path, capsys):
     path = tmp_path / "two_state.json"
     save_mdp(two_state_mdp(), path)
@@ -379,10 +394,17 @@ def test_lookahead_prints_leaf_counts_of_any_size(tmp_path, capsys):
 
 
 def test_importing_the_cli_does_not_load_numpy():
-    probe = "import sys, dpnewton.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    # Site hooks load modules of their own, which differ between machines:
+    # only what the import adds to a bare interpreter's modules counts.
+    heavy = ("numpy", "dataclasses", "inspect")
+    probe = "import sys{}; print(sorted(m for m in {!r} if m in sys.modules))"
+    loaded = {}
+    for name, imports in (("bare", ""), ("cli", ", dpnewton.cli")):
+        proc = subprocess.run([sys.executable, "-c", probe.format(imports, heavy)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = proc.stdout
+    assert loaded["cli"] == loaded["bare"]
 
 
 def test_mdp_lyapunov_verdicts(tmp_path, capsys):

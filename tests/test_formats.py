@@ -98,6 +98,11 @@ def _load_text(text: str):
     return load_mdp(io.StringIO(text))
 
 
+def _huge(text: str) -> str:
+    """The document with "HUGE" spelled as an integer beyond the double range."""
+    return text.replace('"HUGE"', "1" + "0" * 400)
+
+
 def test_loader_reports_first_violation_with_path():
     good = {
         "states": 2,
@@ -119,7 +124,9 @@ def test_loader_reports_first_violation_with_path():
         (mutated(states=0), "states"),
         (json.dumps({k: v for k, v in good.items() if k != "alpha"}), "alpha"),
         (mutated(alpha="x"), "alpha"),
+        (mutated(alpha=True), "alpha"),
         (mutated(alpha=1.5), "alpha"),
+        (_huge(mutated(alpha="HUGE")), "alpha"),
         (mutated(transitions=[[]]), "transitions"),
         (mutated(controls=3), "controls"),
         (mutated(bogus=1), "bogus"),
@@ -129,23 +136,26 @@ def test_loader_reports_first_violation_with_path():
             _load_text(text)
         assert err.value.path == path, text
 
-    bad_p = json.loads(json.dumps(good))
-    bad_p["transitions"][1][0][0]["p"] = "heavy"
-    with pytest.raises(MDPValidationError) as err:
-        _load_text(json.dumps(bad_p))
-    assert err.value.path == "transitions[1][0][0].p"
+    # the numbers are FiniteMDP's to check, at the same paths; an integer no
+    # double can hold is out of range, not a crash
+    for field in ("p", "cost"):
+        for bad, text in ((True, "expected a number, got True"),
+                          ("heavy", "expected a number, got 'heavy'"),
+                          ("HUGE", "the number leaves the double range")):
+            doc = json.loads(json.dumps(good))
+            doc["transitions"][1][0][0][field] = bad
+            with pytest.raises(MDPValidationError) as err:
+                _load_text(_huge(json.dumps(doc)))
+            assert str(err.value) == f"transitions[1][0][0].{field}: {text}"
 
+    # a shape fault is reported before number faults that come earlier
     extra = json.loads(json.dumps(good))
+    extra["alpha"] = "x"
+    extra["transitions"][1][0][0]["p"] = "heavy"
     extra["transitions"][1][0][0]["weight"] = 1.0
     with pytest.raises(MDPValidationError) as err:
         _load_text(json.dumps(extra))
     assert err.value.path == "transitions[1][0][0].weight"
-
-    # an integer no double can hold is out of range, not a crash
-    huge = json.dumps(good).replace('"cost": 3.0', '"cost": 1' + "0" * 400)
-    with pytest.raises(MDPValidationError) as err:
-        _load_text(huge)
-    assert err.value.path == "transitions[1][0][0].cost"
 
     # semantic checks (here: a leaky distribution) keep the same convention
     leaky = json.loads(json.dumps(good))

@@ -3,6 +3,7 @@ reduction of a deep search to a one-step search, and the certainty
 equivalence modes."""
 
 import math
+import pickle
 
 import pytest
 
@@ -20,16 +21,56 @@ from dpnewton.mdp import (
 from util import lookahead_oracle, two_state_mdp, uniform_tree_mdp
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        LookaheadSpec(depth=0, terminal=[0.0, 0.0])
-    with pytest.raises(ValueError):
-        LookaheadSpec(depth=1, terminal=[0.0, 0.0], rollout_steps=-1)
+BAD_SPECS = [
+    ({"depth": 0}, "depth must be an integer >= 1, got 0"),
+    ({"rollout_steps": -1}, "rollout_steps must be an integer >= 0, got -1"),
     # truncated rollout needs somebody to roll out
-    with pytest.raises(ValueError):
-        LookaheadSpec(depth=1, terminal=[0.0, 0.0], rollout_steps=2)
-    with pytest.raises(ValueError):
-        LookaheadSpec(depth=1, terminal=[0.0, 0.0], ce_mode="nominal")
+    ({"rollout_steps": 2}, "rollout_steps > 0 requires a base policy"),
+    ({"ce_mode": "nominal"},
+     "ce_mode must be one of ('exact', 'ce_after_first', 'ce_all'), got 'nominal'"),
+    ({"terminal": [1.0, 0.0]}, "terminal[0]: the termination state is pinned to 0"),
+    ({"terminal": (0.0, math.nan)}, "terminal[1]: entries are nonnegative reals, got nan"),
+    # the fields are checked in order, the terminal entries last
+    ({"depth": 0, "ce_mode": "nominal", "terminal": [1.0]},
+     "depth must be an integer >= 1, got 0"),
+    ({"ce_mode": "nominal", "terminal": [1.0]},
+     "ce_mode must be one of ('exact', 'ce_after_first', 'ce_all'), got 'nominal'"),
+]
+
+SPEC = LookaheadSpec(depth=1, terminal=[0.0, 0.0])
+
+
+def _spec_fields(changes):
+    return {**SPEC._asdict(), **changes}
+
+
+SPEC_CONSTRUCTORS = {
+    "keywords": lambda changes: LookaheadSpec(**_spec_fields(changes)),
+    "call": lambda changes: LookaheadSpec(*_spec_fields(changes).values()),
+    "make": lambda changes: LookaheadSpec._make(_spec_fields(changes).values()),
+    "replace": lambda changes: SPEC._replace(**changes),
+}
+
+
+@pytest.mark.parametrize("build", SPEC_CONSTRUCTORS.values(), ids=SPEC_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("changes, message", BAD_SPECS)
+def test_every_spec_constructor_validates(build, changes, message):
+    with pytest.raises(ValueError) as err:
+        build(changes)
+    assert str(err.value) == message
+    # terminal and base are stored as tuples on every path
+    built = build({"terminal": [0.0, 2.0], "rollout_steps": 1, "base": [0, 1]})
+    assert type(built) is LookaheadSpec
+    assert type(built.terminal) is tuple and built.terminal == (0.0, 2.0)
+    assert type(built.base) is tuple and built.base == (0, 1)
+    assert built == (1, (0.0, 2.0), 1, (0, 1), "exact", None)
+    with pytest.raises(AttributeError):
+        built.depth = 2
+    assert pickle.loads(pickle.dumps(built)) == built
+    assert repr(built) == (
+        "LookaheadSpec(depth=1, terminal=(0.0, 2.0), rollout_steps=1, base=(0, 1), "
+        "ce_mode='exact', nominal=None)"
+    )
 
 
 def test_call_validation():

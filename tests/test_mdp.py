@@ -57,6 +57,21 @@ def test_validation_reports_first_offending_path():
     with pytest.raises(MDPValidationError) as err:
         FiniteMDP(1.5, [[[(1.0, 0, 0.0)]]])
     assert err.value.path == "alpha"
+    # every number is a real other than a bool, in the double range
+    builds = {
+        "alpha": lambda v: FiniteMDP(v, [[[(1.0, 0, 0.0)]]]),
+        "transitions[1][0][0].p": lambda v: FiniteMDP(0.5, [[[(1.0, 0, 0.0)]], [[(v, 0, 1.0)]]]),
+        "transitions[1][0][0].cost": lambda v: FiniteMDP(
+            0.5, [[[(1.0, 0, 0.0)]], [[(1.0, 0, v)]]]
+        ),
+    }
+    for bad, text in ((True, "expected a number, got True"),
+                      ("1.0", "expected a number, got '1.0'"),
+                      (10**400, "the number leaves the double range")):
+        for path, build in builds.items():
+            with pytest.raises(MDPValidationError) as err:
+                build(bad)
+            assert err.value.path == path and str(err.value) == f"{path}: {text}"
     # the termination state must stay put at no cost
     with pytest.raises(MDPValidationError):
         FiniteMDP(0.5, [[[(1.0, 0, 2.0)]]])

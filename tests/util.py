@@ -43,6 +43,17 @@ def lq_policy_cost_oracle(a, b, q, r, L):
     return (q + r * L * L) / (1.0 - closed * closed)
 
 
+def lq_newton_ratio_slope_oracle(a, b, r, K_star):
+    """g(K*) of the Newton bound step(K) - K* <= g(K*) (K - K*)^2 for K > K*.
+
+    The cost-difference identity K_L - K* = (r + b^2 K*)(L - L*)^2 /
+    (1 - (a + b L)^2) gives the greedy step's error ratio exactly as
+    g(K) (K - K*) with g(K) = a^2 b^2 r^2 / ((r + b^2 K*)((r + b^2 K)^2 - a^2 r^2)),
+    and g decreases in K."""
+    s = r + b * b * K_star
+    return a * a * b * b * r * r / (s * (s * s - a * a * r * r))
+
+
 def two_state_mdp(alpha=0.5, stay_cost=1.0, quit_cost=3.0):
     """Termination state 0 plus one state with a cheap self-loop and an exit.
 
