@@ -155,8 +155,12 @@ def load_mdp(source) -> FiniteMDP:
             "transitions", f"expected {n} per-state entries, got {len(transitions)}"
         )
     controls = doc.get("controls")
-    if controls is not None and not isinstance(controls, list):
-        raise MDPValidationError("controls", f"expected list, got {controls!r}")
+    if controls is not None:
+        if not isinstance(controls, list):
+            raise MDPValidationError("controls", f"expected list, got {controls!r}")
+        for x, ids in enumerate(controls):
+            if not isinstance(ids, list):
+                raise MDPValidationError(f"controls[{x}]", f"expected list, got {ids!r}")
 
     table = []
     for x, per_state in enumerate(transitions):

@@ -6,9 +6,9 @@ value estimate at the leaves.  Two refinements are supported:
 
 * truncated rollout: before consulting the terminal estimate, each leaf is
   pushed `rollout_steps` further stages under a fixed base policy;
-* certainty equivalence: stochastic branching is collapsed onto a single
-  nominal outcome per (state, control), either everywhere ("ce_all") or
-  everywhere past the exactly-expanded first stage ("ce_after_first").
+* certainty equivalence: stochastic branching is collapsed onto the most
+  probable outcome of each (state, control), either everywhere ("ce_all")
+  or everywhere past the exactly-expanded first stage ("ce_after_first").
 
 Keeping the first stage exact preserves the character of the minimization;
 "ce_all" is provided as the cheaper but cruder comparison baseline.
@@ -21,9 +21,10 @@ Cost and memory grow with the reachable states per stage, not the tree.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .mdp import FiniteMDP, Outcome, _check_entries
+from .errors import check_lookahead
+from .mdp import FiniteMDP, Outcome, _check_entries, _policy_slots
 
 __all__ = [
     "CE_MODES",
@@ -52,7 +53,6 @@ class _SpecFields(NamedTuple):  # the defaults are LookaheadSpec.__new__'s
     rollout_steps: int
     base: tuple[int, ...] | None
     ce_mode: str
-    nominal: Mapping[tuple[int, int], int] | None
 
 
 class LookaheadSpec(_SpecFields):
@@ -61,9 +61,7 @@ class LookaheadSpec(_SpecFields):
     depth counts minimization stages (>= 1).  rollout_steps applies `base`
     that many times at every leaf before reading `terminal`; the steps are
     exact expectations in "exact" mode and nominal-outcome walks in the CE
-    modes.  `nominal` optionally overrides the default most-probable nominal
-    outcome with a chosen outcome index per (state, control).  Ties in the
-    minimization always go to the lowest control id.
+    modes.  Ties in the minimization always go to the lowest control id.
 
     An immutable tuple whose every constructor (the call, _make and
     _replace) validates.  `terminal` and `base` are stored as tuples, so
@@ -75,47 +73,25 @@ class LookaheadSpec(_SpecFields):
 
     __slots__ = ()
 
-    def __new__(cls, depth, terminal, rollout_steps=0, base=None, ce_mode="exact", nominal=None):
-        if not isinstance(depth, int) or depth < 1:
-            raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
-        if not isinstance(rollout_steps, int) or rollout_steps < 0:
-            raise ValueError(f"rollout_steps must be an integer >= 0, got {rollout_steps!r}")
-        if rollout_steps > 0 and base is None:
-            raise ValueError("rollout_steps > 0 requires a base policy")
+    def __new__(cls, depth, terminal, rollout_steps=0, base=None, ce_mode="exact"):
+        check_lookahead(depth, rollout_steps, base)
         if ce_mode not in CE_MODES:
             raise ValueError(f"ce_mode must be one of {CE_MODES}, got {ce_mode!r}")
         terminal = tuple(terminal)
         if base is not None:
             base = tuple(base)
         _check_entries(terminal, "terminal")
-        return tuple.__new__(cls, (depth, terminal, rollout_steps, base, ce_mode, nominal))
+        return tuple.__new__(cls, (depth, terminal, rollout_steps, base, ce_mode))
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
 
-def nominal_outcome(
-    mdp: FiniteMDP,
-    state: int,
-    control: int,
-    overrides: Mapping[tuple[int, int], int] | None = None,
-) -> Outcome:
-    """The disturbance a certainty-equivalent controller plugs in.
-
-    Defaults to the most probable outcome, lowest index on ties; an override
-    names an explicit outcome index for one (state, control) pair.  Overrides
-    for pairs the search never visits are ignored.
-    """
+def nominal_outcome(mdp: FiniteMDP, state: int, control: int) -> Outcome:
+    """The disturbance a certainty-equivalent controller plugs in: the most
+    probable outcome, lowest index on ties."""
     outs = mdp.outcomes(state, control)
-    if overrides is not None and (state, control) in overrides:
-        idx = overrides[(state, control)]
-        if not isinstance(idx, int) or not 0 <= idx < len(outs):
-            raise ValueError(
-                f"nominal override for ({state}, {control}) must be an outcome "
-                f"index in [0, {len(outs)}), got {idx!r}"
-            )
-        return outs[idx]
     best = 0
     for i in range(1, len(outs)):
         if outs[i].p > outs[best].p:
@@ -131,16 +107,13 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
     rollout the choice coincides, bit for bit, with the greedy policy
     against `spec.terminal` in the "exact" and "ce_after_first" modes.
     """
-    depth, terminal, rollout_steps, base, ce_mode, nominal = spec
+    depth, terminal, rollout_steps, base, ce_mode = spec
     if len(terminal) != mdp.n_states:
         raise ValueError(f"terminal: expected {mdp.n_states} entries, got {len(terminal)}")
     if not 1 <= state < mdp.n_states:
         raise ValueError(f"state must be nonterminal (1..{mdp.n_states - 1}), got {state}")
     if base is not None:
-        if len(base) != mdp.n_states:
-            raise ValueError(f"base: expected {mdp.n_states} entries, got {len(base)}")
-        for x in range(mdp.n_states):
-            mdp.outcomes(x, base[x])
+        _policy_slots(mdp, base, where="base")
 
     horizon = depth + rollout_steps
     # Forward: stages[k] maps each state reachable in k steps to its branches
@@ -163,7 +136,7 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
                 if expand:
                     branches = [(u, mdp.outcomes(x, u)) for u in controls]
                 else:
-                    outs = [nominal_outcome(mdp, x, u, nominal) for u in controls]
+                    outs = [nominal_outcome(mdp, x, u) for u in controls]
                     branches = [(u, ((1.0, o.next, o.cost),)) for u, o in zip(controls, outs)]
                 built[x] = branches
             stage[x] = branches

@@ -34,7 +34,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ConvergenceError, check_budget
+from .errors import ConvergenceError, check_budget, check_lookahead
 
 __all__ = [
     "ScalarLQProblem",
@@ -412,21 +412,15 @@ def lookahead_step(
     taken at the resulting effective start, so the whole construction is a
     Newton step from F^(depth-1)(F_base^rollout_steps(K_terminal)).
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if rollout_steps < 0:
-        raise ValueError("rollout_steps must be nonnegative")
+    check_lookahead(depth, rollout_steps, base)
+    if rollout_steps > 0 and not base.stable:
+        raise ValueError(
+            "truncated rollout needs a stable base policy "
+            f"(closed loop {base.closed_loop!r})"
+        )
     K = _check_finite_coefficient(K_terminal)
-    if rollout_steps > 0:
-        if base is None:
-            raise ValueError("a base policy is required when rollout_steps > 0")
-        if not base.stable:
-            raise ValueError(
-                "truncated rollout needs a stable base policy "
-                f"(closed loop {base.closed_loop!r})"
-            )
-        for _ in range(rollout_steps):
-            K = policy_operator(problem, base, K)
+    for _ in range(rollout_steps):
+        K = policy_operator(problem, base, K)
     for _ in range(depth - 1):
         K = riccati_operator(problem, K)
     gain = greedy_gain(problem, K)

@@ -318,10 +318,15 @@ def bellman_operator(mdp: FiniteMDP, values: Sequence[float]) -> list[float]:
     return _sweep(mdp, values).tolist()
 
 
-def _policy_slots(mdp: FiniteMDP, policy: Sequence[int], first: int = 0) -> list[int]:
+def _policy_slots(
+    mdp: FiniteMDP, policy: Sequence[int], first: int = 0, where: str = "policy"
+) -> list[int]:
     """Slot of policy[x] at every state x from `first` on; the states before
-    `first` take slot 0 and their entries of the policy are not read.  An
-    inadmissible control raises ValueError naming the first such state."""
+    `first` take slot 0 and their entries of the policy are not read.  A
+    policy of the wrong length raises ValueError naming `where`, an
+    inadmissible control one naming the first such state."""
+    if len(policy) != mdp.n_states:
+        raise ValueError(f"{where}: expected {mdp.n_states} entries, got {len(policy)}")
     return [0] * first + [mdp._slot(x, policy[x]) for x in range(first, mdp.n_states)]
 
 
@@ -553,11 +558,12 @@ def _unstable(mdp: FiniteMDP, values: Sequence[float]) -> bool:
 def policy_is_stable(mdp: FiniteMDP, policy: Sequence[int]) -> bool:
     """Whether the policy's cost is finite from every state.
 
-    Any policy is stable under a discount below 1.  Without discounting the
-    policy is stable exactly when, from every state, the closed loop either
-    reaches the termination state with probability one or can only settle
-    into cost-free recurrent behavior."""
+    Any valid policy is stable under a discount below 1.  Without
+    discounting the policy is stable exactly when, from every state, the
+    closed loop either reaches the termination state with probability one
+    or can only settle into cost-free recurrent behavior."""
     if mdp.discount < 1.0:
+        _policy_slots(mdp, policy)
         return True
     return not _unstable(mdp, policy_evaluation(mdp, policy))
 
@@ -568,7 +574,9 @@ def policy_iteration(
     """Exact policy iteration: evaluate, improve, repeat until the
     improvement step returns its own argument.  Returns (policy, its exact
     cost, rounds used).  Controls change only on strict improvement, so a
-    finite MDP always settles.  An undiscounted start must be stable."""
+    finite MDP always settles.  An undiscounted start must be stable, and a
+    negative max_iters raises ValueError."""
+    check_budget(max_iters=max_iters)
     policy = list(policy0)
     values = policy_evaluation(mdp, policy)
     if _unstable(mdp, values):
@@ -595,16 +603,17 @@ def rollout_policy(
     of terminal value used throughout this package.  Base controls are kept
     unless strictly improved, so an already greedy base is a fixed point
     even when another control ties it to the last bit."""
+    _policy_slots(mdp, base, where="base")
     if horizon is None:
         reference = policy_evaluation(mdp, base)
         stable = not _unstable(mdp, reference)
+    elif not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     else:
         stable = policy_is_stable(mdp, base)
     if not stable:
         raise ValueError("rollout without discounting needs a stable base policy")
     if horizon is not None:
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
         reference = zero_values(mdp)
         for _ in range(horizon):
             reference = policy_operator(mdp, base, reference)

@@ -176,6 +176,29 @@ def test_mdp_lookahead_reports_the_leaf_count(tmp_path, capsys):
     assert lines[2] == "leaves=216"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["rollout", "--base"], "base"),
+    (["rollout", "--steps", "2", "--base"], "base"),
+    (["lookahead", "--state", "1", "--rollout-steps", "1", "--base"], "base"),
+    (["lookahead", "--state", "1", "--terminal"], "terminal"),
+    (["lyapunov", "--values"], "values"),
+])
+def test_per_state_lists_of_the_wrong_length_exit_2(argv, named, tmp_path, capsys):
+    model = random_mdp(1, n_states=3)
+    path = tmp_path / "mdp.json"
+    save_mdp(model, path)
+    for length in (2, 4):
+        items = [str(model.controls[x % 3][0]) if named == "base" else "0"
+                 for x in range(length)]
+        command = ["mdp", argv[0], "--file", str(path), *argv[1:], ",".join(items)]
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: {named}: expected 3 entries, got {length}\n"
+        )
+
+
 def test_deep_lookahead_equals_one_step_against_swept_terminal(tmp_path, capsys):
     # the search folds stage tables instead of recursing, so depths past the
     # interpreter's recursion limit finish, and a depth-l search is one step

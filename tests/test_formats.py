@@ -129,6 +129,14 @@ def test_loader_reports_first_violation_with_path():
         (_huge(mutated(alpha="HUGE")), "alpha"),
         (mutated(transitions=[[]]), "transitions"),
         (mutated(controls=3), "controls"),
+        (mutated(controls=[[0], 5]), "controls[1]"),
+        (mutated(controls=[[0], None]), "controls[1]"),
+        (mutated(controls=[[0], {"a": 1}]), "controls[1]"),
+        (mutated(transitions=[good["transitions"][0], 5]), "transitions[1]"),
+        (mutated(transitions=[good["transitions"][0], [5]]), "transitions[1][0]"),
+        (mutated(transitions=[good["transitions"][0], [[5]]]), "transitions[1][0][0]"),
+        (mutated(transitions=[good["transitions"][0], [[{"p": 1.0, "cost": 3.0}]]]),
+         "transitions[1][0][0].next"),
         (mutated(bogus=1), "bogus"),
     ]
     for text, path in cases:

@@ -9,6 +9,7 @@ import pytest
 
 from dpnewton.generators import random_mdp, random_policy, random_values
 from dpnewton.lookahead import LookaheadSpec, lookahead_policy, nominal_outcome
+from dpnewton.lq import ScalarLQProblem, lookahead_step
 from dpnewton.mdp import (
     FiniteMDP,
     bellman_operator,
@@ -63,14 +64,40 @@ def test_every_spec_constructor_validates(build, changes, message):
     assert type(built) is LookaheadSpec
     assert type(built.terminal) is tuple and built.terminal == (0.0, 2.0)
     assert type(built.base) is tuple and built.base == (0, 1)
-    assert built == (1, (0.0, 2.0), 1, (0, 1), "exact", None)
+    assert built == (1, (0.0, 2.0), 1, (0, 1), "exact")
     with pytest.raises(AttributeError):
         built.depth = 2
     assert pickle.loads(pickle.dumps(built)) == built
+    assert hash(built) == hash(tuple(built))
     assert repr(built) == (
         "LookaheadSpec(depth=1, terminal=(0.0, 2.0), rollout_steps=1, base=(0, 1), "
-        "ce_mode='exact', nominal=None)"
+        "ce_mode='exact')"
     )
+
+
+# the (depth, rollout_steps, base) rule the MDP and LQ lookaheads share; a
+# bool is not a count
+BAD_LOOKAHEADS = [
+    ({"depth": 0}, "depth must be an integer >= 1, got 0"),
+    ({"depth": True}, "depth must be an integer >= 1, got True"),
+    ({"depth": 2.5}, "depth must be an integer >= 1, got 2.5"),
+    ({"rollout_steps": -1}, "rollout_steps must be an integer >= 0, got -1"),
+    ({"rollout_steps": True}, "rollout_steps must be an integer >= 0, got True"),
+    ({"rollout_steps": 1.0}, "rollout_steps must be an integer >= 0, got 1.0"),
+    ({"rollout_steps": 2}, "rollout_steps > 0 requires a base policy"),
+]
+
+
+@pytest.mark.parametrize("changes, message", BAD_LOOKAHEADS)
+def test_both_lookaheads_share_one_rule(changes, message):
+    fields = {"depth": 1, "rollout_steps": 0, "base": None, **changes}
+    with pytest.raises(ValueError) as err:
+        LookaheadSpec(terminal=[0.0, 0.0], **fields)
+    assert str(err.value) == message
+    # the rule comes before the terminal coefficient, which NaN would fail
+    with pytest.raises(ValueError) as err:
+        lookahead_step(ScalarLQProblem(1.0, 2.0, 1.0, 0.5), math.nan, **fields)
+    assert str(err.value) == message
 
 
 def test_call_validation():
@@ -145,9 +172,6 @@ def test_nominal_outcome_rule():
     assert nominal_outcome(mdp, 1, 0) == (0.6, 0, 2.0)
     # equal probabilities: the earlier outcome wins
     assert nominal_outcome(mdp, 1, 1) == (0.5, 0, 5.0)
-    assert nominal_outcome(mdp, 1, 0, {(1, 0): 0}) == (0.4, 0, 1.0)
-    with pytest.raises(ValueError):
-        nominal_outcome(mdp, 1, 0, {(1, 0): 2})
 
 
 def test_two_state_values_by_hand():
@@ -319,8 +343,7 @@ def test_ce_modes_diverge_in_the_documented_order():
 def test_full_ce_can_pick_the_risky_control():
     # Control 0 is bad in expectation (cost 40) but its nominal outcome is
     # free; control 1 surely costs 1.  Exact search and first-stage-exact CE
-    # keep the safe control, full CE falls for the risky one, and an override
-    # pointing the nominal at the bad outcome restores the safe choice.
+    # keep the safe control, full CE falls for the risky one.
     mdp = FiniteMDP(1.0, [
         [[(1.0, 0, 0.0)]],
         [[(0.6, 0, 0.0), (0.4, 0, 100.0)], [(1.0, 0, 1.0)]],
@@ -332,12 +355,6 @@ def test_full_ce_can_pick_the_risky_control():
     ).control == 1
     risky = lookahead_policy(mdp, LookaheadSpec(depth=1, terminal=zero, ce_mode="ce_all"), 1)
     assert risky == (0, 0.0, 2)
-    overridden = lookahead_policy(
-        mdp,
-        LookaheadSpec(depth=1, terminal=zero, ce_mode="ce_all", nominal={(1, 0): 1}),
-        1,
-    )
-    assert overridden == (1, 1.0, 2)
 
 
 def test_search_is_deterministic():
@@ -351,52 +368,22 @@ def test_search_is_deterministic():
 
 def test_search_matches_the_brute_force_oracle():
     # The oracle walks every leaf of the tree, so it checks the memoized
-    # values and the summed leaf counts, including nominal overrides that
-    # steer both the collapsed stages and the nominal rollout walk.
+    # values and the summed leaf counts, including the nominal outcomes of
+    # both the collapsed stages and the nominal rollout walk.
     for seed in range(10):
         mdp = random_mdp(seed)
         terminal = random_values(seed + 3000, mdp, high=5.0)
         base = random_policy(seed + 4000, mdp)
-        overrides = {
-            (x, u): len(mdp.outcomes(x, u)) - 1
-            for x in range(1, mdp.n_states)
-            for u in mdp.controls[x]
-            if (x + u) % 2 == 0
-        }
         for depth in range(1, 5):
             for mode in ("exact", "ce_after_first", "ce_all"):
                 for steps in (0, 2):
-                    for nominal in (None, overrides):
-                        spec = LookaheadSpec(depth=depth, terminal=terminal, rollout_steps=steps,
-                                             base=base, ce_mode=mode, nominal=nominal)
-                        for x in range(1, mdp.n_states):
-                            want = lookahead_oracle(mdp, terminal, x, depth, mode, steps,
-                                                    base, nominal)
-                            assert tuple(lookahead_policy(mdp, spec, x)) == want
+                    spec = LookaheadSpec(depth=depth, terminal=terminal, rollout_steps=steps,
+                                         base=base, ce_mode=mode)
+                    for x in range(1, mdp.n_states):
+                        want = lookahead_oracle(mdp, terminal, x, depth, mode, steps, base)
+                        assert tuple(lookahead_policy(mdp, spec, x)) == want
     # stay (1 + 0.5*4) and quit (3) tie at the root: the lowest id wins
     tie = two_state_mdp()
     choice = lookahead_policy(tie, LookaheadSpec(depth=1, terminal=[0.0, 4.0]), 1)
     assert tuple(choice) == lookahead_oracle(tie, [0.0, 4.0], 1, 1) == (0, 3.0, 2)
 
-
-def test_overrides_on_unvisited_pairs_are_ignored():
-    # State 2 cannot be reached from state 1, so the search never looks up
-    # the nominal outcome of (2, 1) and its out-of-range override stays
-    # unread; the same override on the root pair under "ce_all" is read.
-    mdp = FiniteMDP(0.5, [
-        [[(1.0, 0, 0.0)]],
-        [[(0.5, 1, 1.0), (0.5, 0, 2.0)], [(1.0, 0, 3.0)]],
-        [[(1.0, 1, 1.0)], [(0.5, 2, 0.0), (0.5, 0, 4.0)]],
-    ])
-    terminal = [0.0, 1.0, 2.0]
-    base = [0, 0, 1]
-    for mode in ("exact", "ce_after_first", "ce_all"):
-        for steps in (0, 2):
-            plain = LookaheadSpec(depth=3, terminal=terminal, rollout_steps=steps, base=base,
-                                  ce_mode=mode)
-            unread = LookaheadSpec(depth=3, terminal=terminal, rollout_steps=steps, base=base,
-                                   ce_mode=mode, nominal={(2, 1): 7})
-            assert lookahead_policy(mdp, unread, 1) == lookahead_policy(mdp, plain, 1)
-    at_root = LookaheadSpec(depth=3, terminal=terminal, ce_mode="ce_all", nominal={(1, 0): 7})
-    with pytest.raises(ValueError):
-        lookahead_policy(mdp, at_root, 1)

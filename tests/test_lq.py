@@ -342,10 +342,12 @@ def test_lookahead_step_composition():
         lookahead_step(NOMINAL, 0.0, depth=0)
     with pytest.raises(ValueError):
         lookahead_step(NOMINAL, 0.0, rollout_steps=2)  # no base supplied
-    with pytest.raises(ValueError):
-        lookahead_step(
-            NOMINAL, 0.0, rollout_steps=2, base=LinearGain.from_gain(NOMINAL, 0.0)
-        )
+    # an unstable base is reported before the terminal coefficient
+    unstable = LinearGain.from_gain(NOMINAL, 0.0)
+    with pytest.raises(ValueError, match="^truncated rollout needs a stable base policy"):
+        lookahead_step(NOMINAL, math.nan, rollout_steps=2, base=unstable)
+    # no rollout reads no base
+    assert lookahead_step(NOMINAL, 1.0, base=unstable) == lookahead_step(NOMINAL, 1.0)
 
 
 def test_stability_region_examples():

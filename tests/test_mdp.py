@@ -252,6 +252,14 @@ def test_policy_iteration_hand_example():
     # an unstable undiscounted start is rejected
     with pytest.raises(ValueError):
         policy_iteration(two_state_mdp(alpha=1.0), [0, STAY])
+    # a start that needs two rounds runs out of a budget of one; a negative
+    # budget is invalid input, not a non-convergence
+    with pytest.raises(ConvergenceError, match="did not settle in 1 rounds"):
+        policy_iteration(mdp, [0, QUIT], max_iters=1)
+    with pytest.raises(ValueError) as err:
+        policy_iteration(mdp, [0, QUIT], max_iters=-1)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "max_iters must be nonnegative, got -1"
 
 
 def test_undiscounted_start_is_evaluated_once(monkeypatch):
@@ -366,6 +374,35 @@ def test_rollout_policy_hand_example():
     assert rollout_policy(mdp, [0, QUIT], horizon=0) == [0, STAY]  # greedy on zeros
     with pytest.raises(ValueError):
         rollout_policy(two_state_mdp(alpha=1.0), [0, STAY])
+    for horizon in (-1, 1.5, True):
+        with pytest.raises(ValueError) as err:
+            rollout_policy(mdp, [0, QUIT], horizon=horizon)
+        assert str(err.value) == f"horizon must be an integer >= 0, got {horizon!r}"
+
+
+def test_policy_length_is_checked_by_every_taker():
+    # one check, in every function that takes a policy: too short, too long
+    # and, under discounting too, an inadmissible control
+    takers = {
+        "policy_operator": lambda mdp, p: policy_operator(mdp, p, zero_values(mdp)),
+        "policy_evaluation": policy_evaluation,
+        "policy_is_stable": policy_is_stable,
+        "policy_iteration": policy_iteration,
+    }
+    for alpha in (0.5, 1.0):
+        mdp = two_state_mdp(alpha=alpha)
+        for name, take in takers.items():
+            for policy in ([0], [0, QUIT, QUIT]):
+                with pytest.raises(ValueError) as err:
+                    take(mdp, policy)
+                assert str(err.value) == f"policy: expected 2 entries, got {len(policy)}", name
+            with pytest.raises(ValueError, match="control 5 not admissible at state 1"):
+                take(mdp, [0, 5])
+        for horizon in (None, 0, 2):
+            for base in ([0], [0, QUIT, QUIT]):
+                with pytest.raises(ValueError) as err:
+                    rollout_policy(mdp, base, horizon=horizon)
+                assert str(err.value) == f"base: expected 2 entries, got {len(base)}"
 
 
 def test_rollout_improves_on_random_mdps():

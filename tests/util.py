@@ -92,24 +92,19 @@ def uniform_tree_mdp(alpha=0.9, n_states=3, n_controls=2, n_outcomes=3, seed=123
 
 
 def lookahead_oracle(mdp, terminal, state, depth, ce_mode="exact",
-                     rollout_steps=0, base=None, nominal=None):
+                     rollout_steps=0, base=None):
     """Brute-force expectimin search that walks every leaf of the tree.
 
     Returns (control, value, leaves).  "exact" expands every stage,
     "ce_after_first" only the first and "ce_all" none; a collapsed stage
-    follows the most probable outcome (lowest index on ties) unless `nominal`
-    names an outcome index for that (state, control).  Leaves read `terminal`
-    after `rollout_steps` exact base-policy sweeps in "exact" mode and after a
-    nominal walk of that many base steps in the CE modes.
+    follows the most probable outcome (lowest index on ties).  Leaves read
+    `terminal` after `rollout_steps` exact base-policy sweeps in "exact" mode
+    and after a nominal walk of that many base steps in the CE modes.
     """
     alpha = mdp.discount
-    overrides = nominal or {}
 
     def nominal_of(x, u):
-        outs = mdp.outcomes(x, u)
-        if (x, u) in overrides:
-            return outs[overrides[x, u]]
-        return max(outs, key=lambda o: o.p)
+        return max(mdp.outcomes(x, u), key=lambda o: o.p)
 
     table = list(terminal)
     if ce_mode == "exact":
