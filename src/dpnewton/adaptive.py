@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .errors import check_count
 from .lq import (
     LinearGain,
     ScalarLQProblem,
@@ -163,8 +164,7 @@ def _normalized_schedule(design, schedule):
             time, b, r = entry
         except (TypeError, ValueError):
             raise ValueError(f"schedule[{i}]: expected a (time, b, r) triple") from None
-        if not isinstance(time, int) or isinstance(time, bool) or time < 0:
-            raise ValueError(f"schedule[{i}]: time must be an integer >= 0, got {time!r}")
+        check_count(time, f"schedule[{i}]: time")
         # constructing the problem validates b and r
         ScalarLQProblem(design.nominal.a, float(b), design.nominal.q, float(r))
         entries.append((time, float(b), float(r)))
@@ -206,8 +206,7 @@ def replan_simulation(design, schedule, x0, horizon=40, mode="rollout_replan") -
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    check_count(horizon, "horizon", 1)
     x0 = float(x0)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")

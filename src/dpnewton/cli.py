@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import adaptive, formats, generators, lq, mdp
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_count
 from .formats import parse_real
 from .lookahead import CE_MODES, LookaheadSpec, lookahead_policy
 
@@ -35,23 +35,14 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _count(raw) -> int:
-    if isinstance(raw, bool) or (not isinstance(raw, int) and not str(raw).lstrip("-").isdigit()):
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return int(raw)
-
-
-def _natural(raw) -> int:
-    count = _count(raw)
-    if count < 0:
-        raise ValueError(f"expected a nonnegative integer, got {raw!r}")
-    return count
+    """A JSON integer or a flag's decimal digits; every count flag is >= 0."""
+    return check_count(int(raw) if isinstance(raw, str) and raw.isdecimal() else raw, "value")
 
 
 def _flag(raw) -> int:
-    flag = _count(raw)
-    if flag not in (0, 1):
+    if str(raw) not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {raw!r}")
-    return flag
+    return int(raw)
 
 
 def _items(raw) -> list:
@@ -396,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     ], _cmd_riccati_pi, help="policy iteration table")
     _add_command(ric_sub, "newton", _PROBLEM_OPTS + [
         _Opt("start", parse_real, required=True, help="initial coefficient"),
-        _Opt("steps", _natural, default=1),
+        _Opt("steps", _count, default=1),
     ], _cmd_riccati_newton, help="greedy-step iterates")
     _add_command(ric_sub, "sweep-stability", _PROBLEM_OPTS,
                  _cmd_riccati_sweep_stability, help="stability region of the greedy step")
@@ -447,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         _Opt("mode", str, default="all", help="|".join(adaptive.MODES + ("all",))),
     ], _cmd_adaptive_replan, help="closed-loop simulation under a parameter schedule")
     _add_command(ada_sub, "ratio", _PROBLEM_OPTS + [
-        _Opt("halvings", _natural, default=None, help="geometric grid size (default 20)"),
+        _Opt("halvings", _count, default=None, help="geometric grid size (default 20)"),
     ], _cmd_adaptive_ratio, help="contraction ratios near the fixed point")
     return parser
 

@@ -8,6 +8,7 @@ control, costs on the grid {0.0, 0.1, ..., 10.0}.
 
 from __future__ import annotations
 
+from .errors import check_count
 from .mdp import FiniteMDP, zero_values
 
 __all__ = ["random_mdp", "random_values", "random_policy"]
@@ -24,14 +25,12 @@ def random_mdp(
     With reach_termination, the first control of every nonterminal state
     routes one outcome to the termination state, so the all-zeros policy
     terminates with probability one (a stable base even without
-    discounting).  An n_states below 1 raises ValueError.
+    discounting).  An n_states that is not an integer >= 1 raises ValueError.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 9)) if n_states is None else int(n_states)
-    if n < 1:
-        raise ValueError(f"n_states must be at least 1, got {n}")
+    n = int(rng.integers(3, 9)) if n_states is None else check_count(n_states, "n_states", 1)
     transitions: list[list[list[tuple[float, int, float]]]] = [[[(1.0, 0, 0.0)]]]
     for _x in range(1, n):
         n_controls = int(rng.integers(2, 5))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import check_lookahead
+from .errors import check_count, check_lookahead
 from .mdp import FiniteMDP, Outcome, _check_entries, _policy_slots
 
 __all__ = [
@@ -110,7 +110,7 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
     depth, terminal, rollout_steps, base, ce_mode = spec
     if len(terminal) != mdp.n_states:
         raise ValueError(f"terminal: expected {mdp.n_states} entries, got {len(terminal)}")
-    if not 1 <= state < mdp.n_states:
+    if check_count(state, "state", 1) >= mdp.n_states:
         raise ValueError(f"state must be nonterminal (1..{mdp.n_states - 1}), got {state}")
     if base is not None:
         _policy_slots(mdp, base, where="base")

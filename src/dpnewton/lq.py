@@ -413,6 +413,8 @@ def lookahead_step(
     Newton step from F^(depth-1)(F_base^rollout_steps(K_terminal)).
     """
     check_lookahead(depth, rollout_steps, base)
+    if base is not None and not isinstance(base, LinearGain):
+        raise ValueError(f"base must be a LinearGain, got {base!r}")
     if rollout_steps > 0 and not base.stable:
         raise ValueError(
             "truncated rollout needs a stable base policy "

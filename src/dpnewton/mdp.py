@@ -20,7 +20,7 @@ import math
 import numbers
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import ConvergenceError, MDPValidationError, check_budget
+from .errors import ConvergenceError, MDPValidationError, check_budget, check_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -387,8 +387,8 @@ def value_iteration(
     The first sweep is bellman_operator's, which validates the start; later
     sweeps run on a float64 array, and a sweep of a valid table is valid.
     The residual is the largest |swept - values| over unequal entries, so
-    matching infinities count as converged.  A negative tol or max_iters
-    raises ValueError."""
+    matching infinities count as converged.  A negative tol or a max_iters
+    that is not a count raises ValueError."""
     import numpy as np
 
     check_budget(tol, max_iters)
@@ -575,7 +575,7 @@ def policy_iteration(
     improvement step returns its own argument.  Returns (policy, its exact
     cost, rounds used).  Controls change only on strict improvement, so a
     finite MDP always settles.  An undiscounted start must be stable, and a
-    negative max_iters raises ValueError."""
+    max_iters that is not a count raises ValueError."""
     check_budget(max_iters=max_iters)
     policy = list(policy0)
     values = policy_evaluation(mdp, policy)
@@ -607,9 +607,8 @@ def rollout_policy(
     if horizon is None:
         reference = policy_evaluation(mdp, base)
         stable = not _unstable(mdp, reference)
-    elif not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     else:
+        check_count(horizon, "horizon")
         stable = policy_is_stable(mdp, base)
     if not stable:
         raise ValueError("rollout without discounting needs a stable base policy")
@@ -626,7 +625,9 @@ def lyapunov_check(
     """Check the certificate J >= TJ pointwise (within tol).
 
     A finite estimate passing this check makes the greedy policy built on
-    it stable; the second element lists every violating state."""
+    it stable; the second element lists every violating state.  A NaN tol,
+    which would certify any estimate, or a negative one raises ValueError."""
+    check_budget(tol)
     _check_values(mdp, values)
     for x, v in enumerate(values):
         if math.isinf(v):

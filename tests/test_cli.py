@@ -111,19 +111,20 @@ def test_negative_counts_are_validation_errors(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"validation error: {named}: expected a nonnegative integer, got '{argv[-1]}'\n"
+        f"validation error: {named}: value must be an integer >= 0, got '{argv[-1]}'\n"
     )
 
 
-@pytest.mark.parametrize("states", ["0", "-3"])
-def test_mdp_random_needs_a_state(states, tmp_path, capsys):
-    with pytest.raises(ValueError, match="^n_states must be at least 1"):
+@pytest.mark.parametrize("states, message", [
+    ("0", "n_states must be an integer >= 1, got 0"),
+    ("-3", "states: value must be an integer >= 0, got '-3'"),
+])
+def test_mdp_random_needs_a_state(states, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"^n_states must be an integer >= 1, got {states}$"):
         random_mdp(1, n_states=int(states))
     assert main(["mdp", "random", "--seed", "1", "--states", states,
                  "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        f"validation error: n_states must be at least 1, got {states}\n"
-    )
+    assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not (tmp_path / "mdp.json").exists()
 
 
@@ -338,7 +339,7 @@ def test_mdp_solve_rejects_a_budget_no_run_can_meet(tmp_path, capsys):
     save_mdp(two_state_mdp(), path)
     for flags, message in (
         (["--tol", "-1"], "tol must be a nonnegative real, got -1.0"),
-        (["--max-iters", "-1"], "max_iters must be nonnegative, got -1"),
+        (["--max-iters", "-1"], "max-iters: value must be an integer >= 0, got '-1'"),
     ):
         assert main(["mdp", "solve", "--file", str(path), *flags]) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
@@ -349,7 +350,7 @@ def test_mdp_solve_rejects_a_budget_no_run_can_meet(tmp_path, capsys):
 def test_riccati_vi_budget_is_checked(capsys):
     for flags, message in (
         (["--tol", "-1"], "tol must be a nonnegative real, got -1.0"),
-        (["--max-iters", "-1"], "max_iters must be nonnegative, got -1"),
+        (["--max-iters", "-1"], "max-iters: value must be an integer >= 0, got '-1'"),
     ):
         assert main(["riccati", "vi", *NOMINAL_FLAGS, *flags]) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
@@ -370,7 +371,7 @@ def test_riccati_solve_rejects_a_negative_tolerance(capsys):
 def test_riccati_pi_budget_is_checked(capsys):
     for flags, message in (
         (["--tol", "-1"], "tol must be a nonnegative real, got -1.0"),
-        (["--max-iters", "-1"], "max_iters must be nonnegative, got -1"),
+        (["--max-iters", "-1"], "max-iters: value must be an integer >= 0, got '-1'"),
     ):
         assert main(["riccati", "pi", *NOMINAL_FLAGS, "--start-gain", "-0.5", *flags]) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"

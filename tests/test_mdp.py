@@ -138,7 +138,7 @@ def test_value_iteration_rejects_a_budget_no_run_can_meet():
     for kwargs, message in (
         ({"tol": -1.0}, "tol must be a nonnegative real, got -1.0"),
         ({"tol": math.nan}, "tol must be a nonnegative real, got nan"),
-        ({"max_iters": -1}, "max_iters must be nonnegative, got -1"),
+        ({"max_iters": -1}, "max_iters must be an integer >= 0, got -1"),
     ):
         with pytest.raises(ValueError) as err:
             value_iteration(mdp, **kwargs)
@@ -259,7 +259,7 @@ def test_policy_iteration_hand_example():
     with pytest.raises(ValueError) as err:
         policy_iteration(mdp, [0, QUIT], max_iters=-1)
     assert type(err.value) is ValueError
-    assert str(err.value) == "max_iters must be nonnegative, got -1"
+    assert str(err.value) == "max_iters must be an integer >= 0, got -1"
 
 
 def test_undiscounted_start_is_evaluated_once(monkeypatch):
@@ -443,6 +443,12 @@ def test_lyapunov_check_hand_values():
     assert not ok and bad == [1]
     with pytest.raises(ValueError):
         lyapunov_check(mdp, [0.0, math.inf])
+    # a NaN tolerance would certify the failing zero estimate; neither it nor
+    # a negative one is a tolerance
+    for tol, shown in ((math.nan, "nan"), (-1.0, "-1.0")):
+        with pytest.raises(ValueError) as err:
+            lyapunov_check(mdp, [0.0, 0.0], tol=tol)
+        assert str(err.value) == f"tol must be a nonnegative real, got {shown}"
 
 
 def test_lyapunov_certificate_implies_stable_greedy_policy():
