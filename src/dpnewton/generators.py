@@ -1,7 +1,8 @@
 """Seeded random instances for cross-checking the solvers.
 
 Every draw comes from numpy's PCG64 stream (numpy.random.default_rng), so a
-single 64-bit seed pins the full instance.  Sizes follow the desk-scale
+single seed, an integer >= 0, pins the full instance; any other seed
+raises ValueError before anything is drawn.  Sizes follow the desk-scale
 test regime: 3..8 states, 2..4 controls per state, 1..3 outcomes per
 control, costs on the grid {0.0, 0.1, ..., 10.0}.
 """
@@ -29,7 +30,7 @@ def random_mdp(
     """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed"))
     n = int(rng.integers(3, 9)) if n_states is None else check_count(n_states, "n_states", 1)
     transitions: list[list[list[tuple[float, int, float]]]] = [[[(1.0, 0, 0.0)]]]
     for _x in range(1, n):
@@ -57,7 +58,7 @@ def random_values(seed: int, mdp: FiniteMDP, high: float) -> list[float]:
     """Random value estimate in [0, high] per state, termination pinned 0."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed"))
     values = zero_values(mdp)
     for x in range(1, mdp.n_states):
         values[x] = float(rng.uniform(0.0, high))
@@ -67,7 +68,7 @@ def random_values(seed: int, mdp: FiniteMDP, high: float) -> list[float]:
 def random_policy(seed: int, mdp: FiniteMDP) -> list[int]:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed"))
     return [
         mdp.controls[x][int(rng.integers(0, len(mdp.controls[x])))]
         for x in range(mdp.n_states)

@@ -145,7 +145,7 @@ def lookahead_policy(mdp: FiniteMDP, spec: LookaheadSpec, state: int) -> Lookahe
             reach = {nxt: None for branches in stage.values()
                      for _, outs in branches for _, nxt, _ in outs}
 
-    # Backward: q_value's sum at every stage.  A collapsed branch adds
+    # Backward: mdp._q_table's sum at every stage.  A collapsed branch adds
     # 1.0 * (cost + alpha * v) onto 0.0, which is cost + alpha * v bit for
     # bit since costs and values are nonnegative (up to the sign of a zero).
     # Leaf counts fold along the first `depth` stages, each state at stage

@@ -53,7 +53,6 @@ __all__ = [
     "stability_region",
     "rollout",
     "policy_iteration",
-    "double_newton",
 ]
 
 
@@ -179,12 +178,6 @@ def _greedy(p: ScalarLQProblem, K: float) -> LinearGain:
     a, b, _, r = p
     s = r + b * b * K
     return LinearGain(-a * b * K / s, a * r / s)
-
-
-def _newton(p: ScalarLQProblem, K: float) -> NewtonStepResult:
-    """Greedy step at a finite K >= 0 and the exact cost of its gain."""
-    gain = _greedy(p, K)
-    return NewtonStepResult(K, gain, policy_cost(p, gain))
 
 
 def _check_coefficient(K: float) -> float:
@@ -395,7 +388,9 @@ def newton_step(problem: ScalarLQProblem, K: float) -> NewtonStepResult:
     K' = F(K) + F'(K) (K' - K): this is literally the Newton iterate for
     K = F(K), infinite when K sits outside the stability region.
     """
-    return _newton(problem, _check_finite_coefficient(K))
+    K = _check_finite_coefficient(K)
+    gain = _greedy(problem, K)
+    return NewtonStepResult(K, gain, policy_cost(problem, gain))
 
 
 def lookahead_step(
@@ -425,6 +420,7 @@ def lookahead_step(
         K = policy_operator(problem, base, K)
     for _ in range(depth - 1):
         K = riccati_operator(problem, K)
+    # not newton_step: K is +inf when F_L overflowed on the last rollout sweep
     gain = greedy_gain(problem, K)
     return NewtonStepResult(K, gain, policy_cost(problem, gain))
 
@@ -461,8 +457,8 @@ def rollout(problem: ScalarLQProblem, base: LinearGain) -> NewtonStepResult:
         raise ValueError(
             f"rollout requires a stable base policy (closed loop {base.closed_loop!r})"
         )
-    # a NaN gain prices a stable closed loop at NaN, which the check rejects
-    return _newton(problem, _check_finite_coefficient(policy_cost(problem, base)))
+    # a NaN gain prices a stable closed loop at NaN, which newton_step rejects
+    return newton_step(problem, policy_cost(problem, base))
 
 
 def policy_iteration(
@@ -500,19 +496,3 @@ def policy_iteration(
         abs(last - K_opt),
     )
 
-
-def double_newton(problem: ScalarLQProblem, K: float) -> NewtonStepResult:
-    """Two chained Newton steps: greedy at K, then rollout of that gain.
-
-    Requires K inside the stability region so the first greedy gain has a
-    finite evaluation; the second step can only improve on the first, and
-    the pair dominates plain two-step lookahead from the same terminal
-    estimate.
-    """
-    first = _greedy(problem, _check_finite_coefficient(K))
-    if not first.stable:
-        raise ValueError(
-            "double Newton step needs a start inside the stability region "
-            f"(greedy closed loop {first.closed_loop!r})"
-        )
-    return rollout(problem, first)

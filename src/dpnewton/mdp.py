@@ -31,7 +31,6 @@ __all__ = [
     "MDPValidationError",
     "ConvergenceError",
     "zero_values",
-    "q_value",
     "bellman_operator",
     "policy_operator",
     "greedy_policy",
@@ -272,28 +271,22 @@ def _check_entries(values: Sequence[float], where: str):
             raise ValueError(f"{where}[{x}]: entries are nonnegative reals, got {v!r}")
 
 
-def q_value(mdp: FiniteMDP, values: Sequence[float], state: int, control: int) -> float:
-    """Exact one-step cost of a control against a value estimate.
-
-    Infinite continuation values propagate (every probability is positive,
-    so no 0*inf can appear)."""
-    alpha = mdp.discount
-    total = 0.0
-    for p, nxt, cost in mdp.outcomes(state, control):
-        total += p * (cost + alpha * values[nxt])
-    return total
-
-
 def _q_table(mdp: FiniteMDP, values: Sequence[float]) -> np.ndarray:
     """Q-values of every (control slot, state) pair as a (U, S) array;
     slots past a state's last control read +inf.
 
-    Repeats q_value's float operations one for one, so every entry equals
-    q_value bit for bit: each term is p * (cost + alpha * v[next]) and the
-    outcome columns are added left to right onto 0.0.  A reducing sum
-    (np.sum, np.add.reduceat) would pair the terms differently.  Every
-    entry is +0.0 or more, since the sum starts from +0.0, so a minimum
-    over slots never has to choose between zeros of opposite sign."""
+    Entry [i, x] is the exact one-step cost of control controls[x][i]
+    against the values, summed as a per-state loop would sum it: each term
+    is p * (cost + alpha * v[next]) and the outcome columns are added left
+    to right onto 0.0.  A reducing sum (np.sum, np.add.reduceat) would pair
+    the terms differently.  Infinite continuation values propagate (a real
+    outcome has p > 0 and padding reads v[0] = 0, so no 0*inf appears).
+    Every entry is +0.0 or more, since the sum starts from +0.0, so a
+    minimum over slots never has to choose between zeros of opposite sign.
+
+    One Q-value is one public call away: for x >= 1, Q(x, u) is
+    policy_operator(mdp, policy, values)[x] for any policy with
+    policy[x] == u."""
     import numpy as np
 
     packed = mdp._packed

@@ -16,7 +16,7 @@ from dpnewton import adaptive, generators, lq, mdp
 from dpnewton.cli import main as cli_main
 from dpnewton.lookahead import LookaheadSpec, lookahead_policy
 
-from util import uniform_tree_mdp
+from util import q_table_oracle, random_problems, sample_inside_region, uniform_tree_mdp
 
 
 def _report(number: int, ok: bool, detail: str = "") -> None:
@@ -25,25 +25,6 @@ def _report(number: int, ok: bool, detail: str = "") -> None:
         line += f"  {detail}"
     print(line)
     assert ok, line
-
-
-def _random_problems(seed: int, count: int, a_low=-2.0, a_high=2.0):
-    rng = np.random.default_rng(seed)
-    problems = []
-    for _ in range(count):
-        a = float(rng.uniform(a_low, a_high))
-        b = float(rng.uniform(0.2, 3.0))
-        q = float(rng.uniform(0.1, 5.0))
-        r = float(rng.uniform(0.1, 5.0))
-        problems.append(lq.ScalarLQProblem(a, b, q, r))
-    return problems
-
-
-def _inside_region(problem, u: float) -> float:
-    region = lq.stability_region(problem)
-    k_opt = lq.solve_riccati(problem)
-    start = region.threshold if region.open else 0.0
-    return start + (0.1 + 10.0 * u) * max(1.0, k_opt)
 
 
 def test_criterion_01_closed_forms_and_vi():
@@ -74,8 +55,8 @@ def test_criterion_01_closed_forms_and_vi():
 def test_criterion_02_policy_step_is_the_derivative_step():
     rng = np.random.default_rng(20260816)
     worst = 0.0
-    for p in _random_problems(101, 1000):
-        k = _inside_region(p, float(rng.random()))
+    for p in random_problems(101, 1000):
+        k = sample_inside_region(p, rng)
         stepped = lq.newton_step(p, k).cost
         f = lq.riccati_operator(p, k)
         d = lq.riccati_derivative(p, k)
@@ -89,7 +70,7 @@ def test_criterion_02_policy_step_is_the_derivative_step():
 def test_criterion_03_quadratic_convergence():
     worst_steps = 0
     worst_ratio = 0.0
-    for p in _random_problems(101, 1000):
+    for p in random_problems(101, 1000):
         k_opt = lq.solve_riccati(p)
         k = 10.0 * k_opt
         scale = max(1.0, k_opt)
@@ -111,7 +92,7 @@ def test_criterion_03_quadratic_convergence():
 def test_criterion_04_lower_envelope_and_tangency():
     rng = np.random.default_rng(4)
     checked = 0
-    for p in _random_problems(202, 200):
+    for p in random_problems(202, 200):
         scale = max(1.0, abs(p.a) ** 2 * p.r / p.b**2 + p.q)
         for k in [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0]:
             f = lq.riccati_operator(p, k)
@@ -215,9 +196,9 @@ def test_criterion_08_long_lookahead_becomes_optimal():
                                          high=2.0 * max_cost / (1.0 - 0.9))
         policy0 = [model.controls[x][0] for x in range(model.n_states)]
         _, j_star, _ = mdp.policy_iteration(model, policy0)
+        q = q_table_oracle(model, j_star)
         optimal = [
-            {u for u in model.controls[x]
-             if mdp.q_value(model, j_star, x, u) <= j_star[x] + 1e-9}
+            {u for u in model.controls[x] if q[x, u] <= j_star[x] + 1e-9}
             for x in range(model.n_states)
         ]
 

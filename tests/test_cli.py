@@ -1,13 +1,16 @@
 """Command-line behavior: printed values, exit codes, config merging,
 deterministic artifacts, and the frozen golden files."""
 
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import dpnewton
 from dpnewton import cli
 from dpnewton.cli import main
 from dpnewton.formats import load_mdp, save_mdp
@@ -310,6 +313,21 @@ def test_negative_reals_in_exponent_form_take_the_equals_form(capsys):
     assert "argument --a: expected one argument" in capsys.readouterr().err
 
 
+def test_values_that_start_with_a_dash_take_the_equals_form(capsys):
+    argv = ["adaptive", "replan", *NOMINAL_FLAGS]
+    assert main([*argv, "--schedule=-1:2:0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: schedule: value must be an integer >= 0, got '-1'\n"
+    )
+    # argparse reads -1:2:0.5 as an option name: a usage error, never exit 1
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--schedule", "-1:2:0.5"])
+    assert stop.value.code == 2
+    assert "argument --schedule: expected one argument" in capsys.readouterr().err
+
+
 def test_grid_with_an_infinite_span_is_rejected(capsys):
     assert main(["adaptive", "sweep", *NOMINAL_FLAGS, "--grid-b", "0:inf:1"]) == 2
     err = capsys.readouterr().err
@@ -429,6 +447,19 @@ def test_importing_the_cli_does_not_load_numpy():
         assert proc.returncode == 0, proc.stderr
         loaded[name] = proc.stdout
     assert loaded["cli"] == loaded["bare"]
+
+
+# every module but the command line (which exports nothing) and __main__
+EXPORTING = ["dpnewton"] + [
+    f"dpnewton.{module.name}" for module in pkgutil.iter_modules(dpnewton.__path__)
+    if module.name not in ("__main__", "cli")
+]
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_mdp_lyapunov_verdicts(tmp_path, capsys):

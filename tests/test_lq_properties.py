@@ -21,31 +21,12 @@ from dpnewton.lq import (
     stability_region,
     value_iteration,
 )
-from util import lq_exact_residual_oracle, lq_newton_oracle
-
-
-def random_problems(seed, count, a_low=-2.0, a_high=2.0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            ScalarLQProblem(
-                float(rng.uniform(a_low, a_high)),
-                float(rng.uniform(0.2, 3.0)),
-                float(rng.uniform(0.1, 5.0)),
-                float(rng.uniform(0.1, 5.0)),
-            )
-        )
-    return out
-
-
-def sample_inside_region(problem, rng):
-    """A coefficient comfortably inside the stability region (not boundary-
-    hugging, so downstream divisions stay well conditioned)."""
-    K_opt = solve_riccati(problem)
-    region = stability_region(problem)
-    offset = region.threshold if region.open else 0.0
-    return offset + (0.1 + 10.0 * float(rng.random())) * max(1.0, K_opt)
+from util import (
+    lq_exact_residual_oracle,
+    lq_newton_oracle,
+    random_problems,
+    sample_inside_region,
+)
 
 
 def test_policy_operator_is_upper_envelope_with_tangency():

@@ -25,7 +25,6 @@ from dpnewton.mdp import (
     policy_is_stable,
     policy_iteration,
     policy_operator,
-    q_value,
     rollout_policy,
     value_iteration,
     zero_values,
@@ -107,7 +106,8 @@ def test_bellman_operator_hand_values():
     # termination-only problem
     assert bellman_operator(FiniteMDP(0.5, [[[(1.0, 0, 0.0)]]]), [0.0]) == [0.0]
     # infinite estimates propagate through expectations, minimum survives
-    assert q_value(mdp, [0.0, math.inf], 1, STAY) == math.inf
+    assert q_table_oracle(mdp, [0.0, math.inf])[1, STAY] == math.inf
+    assert policy_operator(mdp, [0, STAY], [0.0, math.inf]) == [0.0, math.inf]
     assert bellman_operator(mdp, [0.0, math.inf]) == [0.0, 3.0]
 
 

@@ -2,12 +2,13 @@
 
 Oracle helpers intentionally re-derive quantities from raw formulas instead
 of calling into the package, so the tests cross-check the implementation
-rather than echo it.
+rather than echo it.  Builders only pick inputs, so they may use it.
 """
 
 import math
 from fractions import Fraction
 
+from dpnewton.lq import ScalarLQProblem, solve_riccati, stability_region
 from dpnewton.mdp import FiniteMDP
 
 
@@ -52,6 +53,26 @@ def lq_newton_ratio_slope_oracle(a, b, r, K_star):
     and g decreases in K."""
     s = r + b * b * K_star
     return a * a * b * b * r * r / (s * (s * s - a * a * r * r))
+
+
+def random_problems(seed, count, a_low=-2.0, a_high=2.0):
+    """count seeded scalar LQ problems, each drawn as a, b, q, r in turn."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    bounds = ((a_low, a_high), (0.2, 3.0), (0.1, 5.0), (0.1, 5.0))
+    return [ScalarLQProblem(*(float(rng.uniform(low, high)) for low, high in bounds))
+            for _ in range(count)]
+
+
+def sample_inside_region(problem, rng):
+    """A coefficient comfortably inside the stability region (not boundary-
+    hugging, so downstream divisions stay well conditioned); one rng.random()
+    draw."""
+    K_opt = solve_riccati(problem)
+    region = stability_region(problem)
+    offset = region.threshold if region.open else 0.0
+    return offset + (0.1 + 10.0 * float(rng.random())) * max(1.0, K_opt)
 
 
 def two_state_mdp(alpha=0.5, stay_cost=1.0, quit_cost=3.0):
